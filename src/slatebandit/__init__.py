@@ -22,6 +22,7 @@ from .core import (
     Survey,
     ValidationError,
     attributed_action,
+    attributed_rewards,
     decode_event,
     encode_event,
     null_item,
@@ -112,6 +113,7 @@ __all__ = [
     "absorb",
     "assemble",
     "attributed_action",
+    "attributed_rewards",
     "bonus",
     "decode_event",
     "eas_hat",

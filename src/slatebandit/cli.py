@@ -23,8 +23,8 @@ from .core import (
     RewardMode,
     RewardSpec,
     ValidationError,
-    attributed_action,
-    reward_of,
+    atomic_write,
+    attributed_rewards,
 )
 from .slates import SlatePolicyConfig
 
@@ -80,13 +80,6 @@ def _read_log(path: str):
     if not os.path.exists(path):
         raise ConfigError(f"event log not found: {path}")
     return EventLog(path).read_all()
-
-
-def _atomic_write_text(path: str, text: str) -> None:
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -158,7 +151,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         "engagement": kpis["engagement"],
         "policy": policy.tag,
     }
-    _atomic_write_text(
+    atomic_write(
         os.path.join(args.out, "summary.json"),
         json.dumps(summary, sort_keys=True, indent=1) + "\n",
     )
@@ -218,13 +211,8 @@ def cmd_fit_bandit(args: argparse.Namespace) -> int:
     stats = linear.SufficientStats(
         dim=feature_map.dim, window_seconds=None if window is None else int(window)
     )
-    for event in sorted(events, key=lambda e: e.ts):
-        reward = reward_of(event.feedback, reward_spec)
-        if reward is None:
-            continue
-        action = attributed_action(event)
-        if action is None or action.is_null_item:
-            continue
+    ordered = sorted(events, key=lambda e: e.ts)
+    for _, event, action, reward in attributed_rewards(ordered, reward_spec):
         phi = feature_map.transform(event.context, action)
         linear.absorb(stats, phi, reward, event.ts)
     head = linear.fit(
@@ -302,7 +290,7 @@ def cmd_report(args: argparse.Namespace) -> int:
         "engagement": kpis["engagement"],
     }
     if args.out:
-        _atomic_write_text(args.out, json.dumps(record, sort_keys=True, indent=1) + "\n")
+        atomic_write(args.out, json.dumps(record, sort_keys=True, indent=1) + "\n")
     print(f"events            {record['events']}")
     print(f"clicks            {clicks}")
     print(f"answered surveys  {answered}")

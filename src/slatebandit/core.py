@@ -7,11 +7,15 @@ serialized form are part of the contract and must not drift.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
+import uuid
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterator
+from typing import Iterable, Iterator
+
+import numpy as np
 
 NULL_ACTION_ID = "__null__"
 NULL_ACTION_TITLE = "None of the above"
@@ -255,6 +259,58 @@ def attributed_action(event: LoggedEvent) -> Action | None:
     if len(event.slate) == 1 and not event.slate.items[0].is_null_item:
         return event.slate.items[0]
     return None
+
+
+def attributed_rewards(
+    events: Iterable[LoggedEvent], spec: RewardSpec
+) -> Iterator[tuple[int, LoggedEvent, Action, float]]:
+    """(index, event, attributed action, reward) for every event that carries
+    a reward and attaches it to an action, the null item included.
+
+    The one filter every learner and estimator reads the log through, so the
+    online and offline paths see the same rows; ``index`` counts all events.
+    """
+    for index, event in enumerate(events):
+        reward = reward_of(event.feedback, spec)
+        if reward is None:
+            continue
+        action = attributed_action(event)
+        if action is not None:
+            yield index, event, action, reward
+
+
+def categorical(weights, rng: np.random.Generator) -> int:
+    """One index drawn with probability proportional to ``weights``.
+
+    Consumes exactly one ``rng.random()``; ``weights`` must have a positive
+    total.
+    """
+    edges = np.cumsum(weights)
+    u = rng.random() * edges[-1]
+    return int(min(np.searchsorted(edges, u, side="right"), len(edges) - 1))
+
+
+def atomic_write(path: str | os.PathLike, text: str) -> None:
+    """Replace ``path`` with ``text`` so a reader sees the old file or the new
+    one, never a torn one.
+
+    The text goes to a uniquely named temp file beside the target, is synced
+    to disk and renamed over it; on any failure the temp file is removed and
+    the target is left as it was. Line endings are written as given, and the
+    file gets the mode a plain ``open(path, "w")`` would give it.
+    """
+    path = os.fspath(path)
+    tmp = f"{path}.{uuid.uuid4().hex}.tmp"
+    try:
+        with open(tmp, "x", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def encode_event(event: LoggedEvent) -> str:

@@ -20,8 +20,8 @@ from .core import (
     NoDataError,
     RewardSpec,
     Survey,
-    attributed_action,
-    reward_of,
+    atomic_write,
+    attributed_rewards,
 )
 
 TargetPolicy = Callable[..., Mapping[str, float]]
@@ -69,13 +69,7 @@ def snips(
     rewards = []
     weights = []
     missing = []
-    for index, event in enumerate(events):
-        reward = reward_of(event.feedback, reward_spec)
-        if reward is None:
-            continue
-        action = attributed_action(event)
-        if action is None:
-            continue
+    for index, event, action, reward in attributed_rewards(events, reward_spec):
         if event.propensity is None:
             missing.append(index)
             continue
@@ -178,8 +172,4 @@ def save_evaluation(
     result: OpeResult, verdict: GateVerdict, path: str | os.PathLike
 ) -> None:
     record = {"ope": result.to_dict(), "gate": verdict.to_dict()}
-    tmp = os.fspath(path) + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(record, fh, sort_keys=True, indent=1)
-        fh.write("\n")
-    os.replace(tmp, path)
+    atomic_write(path, json.dumps(record, sort_keys=True, indent=1) + "\n")

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import NULL_ACTION_ID, ValidationError
+from .core import NULL_ACTION_ID, ValidationError, atomic_write
 from .mab import ArmStats, ContextBank
 
 VERDICT_PROMOTED = "promoted"
@@ -131,8 +131,4 @@ def expand(
 
 
 def save_report(report: ExpansionReport, path: str | os.PathLike) -> None:
-    tmp = os.fspath(path) + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(report.to_dict(), fh, sort_keys=True, indent=1)
-        fh.write("\n")
-    os.replace(tmp, path)
+    atomic_write(path, json.dumps(report.to_dict(), sort_keys=True, indent=1) + "\n")

@@ -23,8 +23,8 @@ from .core import (
     NoDataError,
     RewardSpec,
     ValidationError,
-    attributed_action,
-    reward_of,
+    atomic_write,
+    attributed_rewards,
 )
 
 
@@ -303,12 +303,10 @@ def training_pairs(
     """(X, y) over events with a defined reward attributed to a content action."""
     xs = []
     ys = []
-    for event in events:
-        reward = reward_of(event.feedback, reward_spec)
-        if reward is None:
-            continue
-        action = attributed_action(event)
-        if action is None or action.is_null_item:
+    for _, event, action, reward in attributed_rewards(events, reward_spec):
+        # the network learns what an article is worth; free-text turns on the
+        # null slot reach the bandit head only
+        if action.is_null_item:
             continue
         xs.append(featurize(featurizer, event.context, action))
         ys.append(reward)
@@ -350,11 +348,7 @@ def train(
 
 
 def save_feature_map(feature_map: FeatureMap, path: str | os.PathLike) -> None:
-    tmp = os.fspath(path) + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(feature_map.to_dict(), fh, sort_keys=True)
-        fh.write("\n")
-    os.replace(tmp, path)
+    atomic_write(path, json.dumps(feature_map.to_dict(), sort_keys=True) + "\n")
 
 
 def load_feature_map(path: str | os.PathLike) -> FeatureMap:

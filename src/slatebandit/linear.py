@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import NoDataError, ValidationError
+from .core import NoDataError, ValidationError, atomic_write, categorical
 
 DEFAULT_PCR_THRESHOLD = 0.99
 RIDGE_SCALE = 1e-8
@@ -84,28 +84,18 @@ def evict_before(stats: SufficientStats, cutoff: int) -> None:
         stats.count = 0
 
 
-def batch_recompute(stats: SufficientStats) -> tuple[np.ndarray, np.ndarray]:
-    """Recompute the sums from scratch over the retained entries (for checks)."""
-    f = np.zeros(stats.dim)
-    g = np.zeros((stats.dim, stats.dim))
-    for _, phi, reward in stats.entries:
-        f += reward * phi
-        g += np.outer(phi, phi)
-    return f, g
-
-
 @dataclass
 class BanditHead:
-    """A fitted head: principal basis, factorized design, and weights.
+    """A fitted head: principal basis, projected design, and weights.
 
-    ``eigenvalues`` is the diagonal of the projected design after any ridge,
-    i.e. the matrix whose Cholesky factor's inverse is ``inv_factor``.
+    ``eigenvalues`` is the diagonal of the projected design after any ridge;
+    in the ``basis`` the design is that diagonal, so it fixes the posterior
+    covariance on its own.
     """
 
     dim: int
     basis: np.ndarray
     eigenvalues: np.ndarray
-    inv_factor: np.ndarray
     weights: np.ndarray
     pcr_threshold: float
     ridge: float = 0.0
@@ -125,10 +115,10 @@ def fit(
 
     The Gram spectrum is cut at the smallest rank holding at least
     ``pcr_threshold`` of the total eigenvalue mass; the projected design is
-    diagonal in that basis, its Cholesky factor is taken, and the weights
-    solve the projected normal equations. A ridge of 1e-8 * trace/dim is added
-    only if the retained spectrum is not strictly positive, so exact integer
-    counters pass through untouched.
+    diagonal in that basis, and the weights solve the projected normal
+    equations. A ridge of 1e-8 * trace/dim is added only if the retained
+    spectrum is not strictly positive, so exact integer counters pass through
+    untouched.
     """
     if not (0.0 < pcr_threshold <= 1.0):
         raise ValidationError("pcr_threshold must lie in (0, 1]")
@@ -151,8 +141,6 @@ def fit(
     if retained.min() <= 0.0:
         ridge = RIDGE_SCALE * float(np.trace(sym)) / stats.dim
     lam = retained + ridge
-    factor = np.linalg.cholesky(np.diag(lam))
-    inv_factor = np.diag(1.0 / np.diag(factor))
 
     projected_f = basis.T @ stats.reward_feature_sum
     weights = basis @ (projected_f / lam)
@@ -160,7 +148,6 @@ def fit(
         dim=stats.dim,
         basis=basis,
         eigenvalues=lam,
-        inv_factor=inv_factor,
         weights=weights,
         pcr_threshold=pcr_threshold,
         ridge=ridge,
@@ -224,12 +211,6 @@ def ews_probabilities(head: BanditHead, phis: Sequence[np.ndarray]) -> np.ndarra
     return weights / weights.sum()
 
 
-def _pick(probabilities: np.ndarray, rng: np.random.Generator) -> int:
-    edges = np.cumsum(probabilities)
-    u = rng.random() * edges[-1]
-    return int(min(np.searchsorted(edges, u, side="right"), len(probabilities) - 1))
-
-
 def ews_sample(
     head: BanditHead,
     candidates: Sequence[tuple[str, np.ndarray]],
@@ -241,7 +222,7 @@ def ews_sample(
     callers can log propensities.
     """
     probs = ews_probabilities(head, [phi for _, phi in candidates])
-    return _pick(probs, rng), probs
+    return categorical(probs, rng), probs
 
 
 def ts_sample(
@@ -262,7 +243,7 @@ def ts_sample(
         raise NoDataError("no candidates")
     z = rng.standard_normal(head.rank)
     sampled_weights = head.weights + np.sqrt(prior_scale) * (
-        head.basis @ (head.inv_factor.T @ z)
+        head.basis @ ((1.0 / np.sqrt(head.eigenvalues)) * z)
     )
     scores = np.array([float(sampled_weights @ phi) for _, phi in candidates])
     best = min(range(len(candidates)), key=lambda i: (-scores[i], candidates[i][0]))
@@ -274,21 +255,18 @@ def save_head(head: BanditHead, path: str | os.PathLike) -> None:
         "dim": head.dim,
         "basis": head.basis.tolist(),
         "eigenvalues": head.eigenvalues.tolist(),
-        "inv_factor": head.inv_factor.tolist(),
         "weights": head.weights.tolist(),
         "pcr_threshold": head.pcr_threshold,
         "ridge": head.ridge,
         "count": head.count,
         "time_range": list(head.time_range) if head.time_range else None,
     }
-    tmp = os.fspath(path) + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(record, fh, sort_keys=True)
-        fh.write("\n")
-    os.replace(tmp, path)
+    atomic_write(path, json.dumps(record, sort_keys=True) + "\n")
 
 
 def load_head(path: str | os.PathLike) -> BanditHead:
+    """Read a saved head. Older heads also carry the inverse Cholesky factor
+    of the design; it is ignored, since ``eigenvalues`` determines it."""
     with open(path, "r", encoding="utf-8") as fh:
         record = json.load(fh)
     time_range = record.get("time_range")
@@ -296,7 +274,6 @@ def load_head(path: str | os.PathLike) -> BanditHead:
         dim=int(record["dim"]),
         basis=np.asarray(record["basis"], dtype=float),
         eigenvalues=np.asarray(record["eigenvalues"], dtype=float),
-        inv_factor=np.asarray(record["inv_factor"], dtype=float),
         weights=np.asarray(record["weights"], dtype=float),
         pcr_threshold=float(record["pcr_threshold"]),
         ridge=float(record.get("ridge", 0.0)),

@@ -23,6 +23,7 @@ from .core import (
     NoDataError,
     Survey,
     ValidationError,
+    atomic_write,
     attributed_action,
 )
 
@@ -352,11 +353,7 @@ def save_bank(bank: ContextBank, path: str | os.PathLike) -> None:
         "click_stats": {k: v.to_dict() for k, v in sorted(bank.click_stats.items())},
         "survey_stats": {k: v.to_dict() for k, v in sorted(bank.survey_stats.items())},
     }
-    tmp = os.fspath(path) + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(record, fh, sort_keys=True, indent=1)
-        fh.write("\n")
-    os.replace(tmp, path)
+    atomic_write(path, json.dumps(record, sort_keys=True, indent=1) + "\n")
 
 
 def load_bank(path: str | os.PathLike) -> ContextBank:

@@ -15,6 +15,7 @@ sharp.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import os
 from dataclasses import dataclass, field
@@ -33,9 +34,11 @@ from .core import (
     Slate,
     Survey,
     ValidationError,
+    atomic_write,
     attributed_action,
+    attributed_rewards,
+    categorical,
     null_item,
-    reward_of,
 )
 
 NULL_VALUE = 0.5  # value credited when nothing is served; p_yes is the value scale
@@ -188,11 +191,7 @@ class WorldSpec:
 
 
 def save_world(world: WorldSpec, path: str | os.PathLike) -> None:
-    tmp = os.fspath(path) + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(world.to_dict(), fh, sort_keys=True, indent=1)
-        fh.write("\n")
-    os.replace(tmp, path)
+    atomic_write(path, json.dumps(world.to_dict(), sort_keys=True, indent=1) + "\n")
 
 
 def load_world(path: str | os.PathLike) -> WorldSpec:
@@ -220,13 +219,12 @@ class Schedule:
 class BasePolicy:
     """Serving policy interface for the loop.
 
-    ``decide`` may set ``last_posteriors`` (per-action (successes, trials)
-    pairs at decision time) for the logger to pick up. The learning hooks
-    default to no-ops so static policies stay trivial.
+    ``decide`` returns the slate together with whatever the logger should
+    record about it (propensities, posteriors). The learning hooks default to
+    no-ops so static policies stay trivial.
     """
 
     tag = "base"
-    last_posteriors: dict[str, tuple[float, float]] | None = None
 
     def decide(
         self, context: Context, candidates: list[Action], rng: np.random.Generator
@@ -241,6 +239,32 @@ class BasePolicy:
 
     def expand_pools(self, now: int, rng: np.random.Generator) -> None:
         pass
+
+
+def _pool(candidates: list[Action]) -> list[Action]:
+    """The candidate pool in serving order: content by action id, then the null item."""
+    by_id = {a.action_id: a for a in candidates if not a.is_null_item}
+    return [by_id[action_id] for action_id in sorted(by_id)] + [null_item()]
+
+
+def _serve_by_score(
+    actions: list[Action], scores: np.ndarray, config: slates.SlatePolicyConfig
+) -> slates.SlateDecision:
+    """Rank ``actions`` by descending score (ties by action id) and assemble
+    the served slate; ``actions`` must include the null item."""
+    order = mab.rank_by_score([a.action_id for a in actions], scores)
+    return slates.assemble([(actions[i], float(scores[i])) for i in order], config)
+
+
+def _uniform_decision(
+    candidates: list[Action], rng: np.random.Generator, config: slates.SlatePolicyConfig
+) -> slates.SlateDecision:
+    """Rank the pool in a uniformly random order; every action, the null item
+    included, ranks first with the same probability."""
+    actions = _pool(candidates)
+    decision = _serve_by_score(actions, rng.random(len(actions)), config)
+    decision.propensities = {a.action_id: 1.0 / len(actions) for a in actions}
+    return decision
 
 
 class MabPolicy(BasePolicy):
@@ -292,9 +316,7 @@ class MabPolicy(BasePolicy):
         ids.append(NULL_ACTION_ID)
         actions[NULL_ACTION_ID] = null_item()
         scores = mab.joint_scores(bank, ids, rng)
-        order = mab.rank_by_score(ids, scores)
-        scored = [(actions[ids[i]], float(scores[i])) for i in order]
-        decision = slates.assemble(scored, self.slate_config)
+        decision = _serve_by_score([actions[i] for i in ids], scores, self.slate_config)
         if self.slate_config.safe_exploration:
             baseline = self.slate_config.baselines.get(context.context_id)
             if baseline is not None:
@@ -304,13 +326,13 @@ class MabPolicy(BasePolicy):
                     lambda a: mab.joint_score(bank, a.action_id, rng),
                     audit=self.gate_audit,
                 )
-        self.last_posteriors = {}
+        decision.posteriors = {}
         for action in decision.served.items:
             stats = bank.click_stats.get(action.action_id)
             if stats is None:
-                self.last_posteriors[action.action_id] = (0.0, 0.0)
+                decision.posteriors[action.action_id] = (0.0, 0.0)
             else:
-                self.last_posteriors[action.action_id] = (stats.successes, stats.trials)
+                decision.posteriors[action.action_id] = (stats.successes, stats.trials)
         return decision
 
     def aggregate(self, events: list[LoggedEvent], now: int) -> None:
@@ -340,17 +362,7 @@ class UniformRandomPolicy(BasePolicy):
     def decide(
         self, context: Context, candidates: list[Action], rng: np.random.Generator
     ) -> slates.SlateDecision:
-        actions = {a.action_id: a for a in candidates if not a.is_null_item}
-        ids = sorted(actions)
-        ids.append(NULL_ACTION_ID)
-        actions[NULL_ACTION_ID] = null_item()
-        scores = rng.random(len(ids))
-        order = mab.rank_by_score(ids, scores)
-        scored = [(actions[ids[i]], float(scores[i])) for i in order]
-        decision = slates.assemble(scored, self.slate_config)
-        decision.propensities = {action_id: 1.0 / len(ids) for action_id in ids}
-        self.last_posteriors = None
-        return decision
+        return _uniform_decision(candidates, rng, self.slate_config)
 
 
 class FixedSlatePolicy(BasePolicy):
@@ -368,13 +380,7 @@ class FixedSlatePolicy(BasePolicy):
         baseline = self.baselines.get(context.context_id)
         if baseline is None:
             raise ValidationError(f"no baseline slate for context {context.context_id!r}")
-        pos = baseline.null_position
-        self.last_posteriors = None
-        return slates.SlateDecision(
-            served=baseline,
-            scored_all=tuple(zip(baseline.items, baseline.scores)),
-            null_position=pos if pos is not None else len(baseline.items),
-        )
+        return slates.SlateDecision.serving(baseline)
 
 
 class OraclePolicy(BasePolicy):
@@ -394,7 +400,6 @@ class OraclePolicy(BasePolicy):
         )
         best = Action(action_id=best_id, title=ctx_world.actions[best_id].title)
         scored = [(best, 1.0), (null_item(), 0.0)]
-        self.last_posteriors = None
         return slates.assemble(scored, self._config)
 
 
@@ -425,33 +430,18 @@ class NlbPolicy(BasePolicy):
         self.head: linear.BanditHead | None = None
         self.tag = tag
 
-    def _candidates(self, context: Context, candidates: list[Action]):
-        actions = sorted(
-            (a for a in candidates if not a.is_null_item), key=lambda a: a.action_id
-        )
-        actions.append(null_item())
-        return [(a, np.asarray(self.feature_fn(context, a), dtype=float)) for a in actions]
-
     def decide(
         self, context: Context, candidates: list[Action], rng: np.random.Generator
     ) -> slates.SlateDecision:
-        pairs = self._candidates(context, candidates)
-        self.last_posteriors = None
         if self.head is None:
-            scores = rng.random(len(pairs))
-            ids = [a.action_id for a, _ in pairs]
-            order = mab.rank_by_score(ids, scores)
-            scored = [(pairs[i][0], float(scores[i])) for i in order]
-            decision = slates.assemble(scored, self.slate_config)
-            decision.propensities = {a.action_id: 1.0 / len(pairs) for a, _ in pairs}
-            return decision
+            # cold start: nothing to score with yet, so serve the exploration floor
+            return _uniform_decision(candidates, rng, self.slate_config)
+        actions = _pool(candidates)
+        pairs = [(a, np.asarray(self.feature_fn(context, a), dtype=float)) for a in actions]
         if self.sampler == "ts":
             keyed = [(a.action_id, phi) for a, phi in pairs]
             _, scores = linear.ts_sample(self.head, keyed, self.prior_scale, rng)
-            ids = [a.action_id for a, _ in pairs]
-            order = mab.rank_by_score(ids, scores)
-            scored = [(pairs[i][0], float(scores[i])) for i in order]
-            return slates.assemble(scored, self.slate_config)
+            return _serve_by_score(actions, scores, self.slate_config)
         remaining = list(pairs)
         scored = []
         first_probs: dict[str, float] | None = None
@@ -469,13 +459,7 @@ class NlbPolicy(BasePolicy):
         return decision
 
     def aggregate(self, events: list[LoggedEvent], now: int) -> None:
-        for event in events:
-            reward = reward_of(event.feedback, self.reward_spec)
-            if reward is None:
-                continue
-            action = attributed_action(event)
-            if action is None:
-                continue
+        for _, event, action, reward in attributed_rewards(events, self.reward_spec):
             # Null attributions (free-text surveys) count too: they are the
             # only evidence the head ever gets about the do-nothing slot.
             phi = np.asarray(self.feature_fn(event.context, action), dtype=float)
@@ -542,14 +526,8 @@ def simulate_feedback(
     else:
         weights = []
         outside = 1.0
-    all_weights = np.array(weights + [outside])
-    total = all_weights.sum()
-    if total <= 0:
-        choice = len(weights)
-    else:
-        edges = np.cumsum(all_weights)
-        u = rng.random() * total
-        choice = int(min(np.searchsorted(edges, u, side="right"), len(weights)))
+    # the outside weight is at least 1 - max(weights), so the total is positive
+    choice = categorical(np.array(weights + [outside]), rng)
 
     if choice < len(weights):
         truth = _truth_for(ctx_world, content[choice].action_id)
@@ -596,11 +574,7 @@ def step(
     """Generate, serve, and log one event."""
     world_rng = np.random.default_rng([world.seed, event_index])
     weights = np.array([c.weight for c in world.contexts])
-    edges = np.cumsum(weights)
-    u = world_rng.random() * edges[-1]
-    ctx_world = world.contexts[
-        int(min(np.searchsorted(edges, u, side="right"), len(world.contexts) - 1))
-    ]
+    ctx_world = world.contexts[categorical(weights, world_rng)]
     query = None
     if ctx_world.query_templates:
         query = ctx_world.query_templates[
@@ -625,7 +599,7 @@ def step(
         slate=decision.served,
         feedback=feedback,
         propensity=propensity,
-        posteriors=dict(policy.last_posteriors) if policy.last_posteriors else None,
+        posteriors=decision.posteriors or None,
         policy_tag=policy.tag,
     )
 
@@ -794,38 +768,37 @@ def run(
 
 
 def write_metrics_csv(windows: list[WindowMetrics], path: str | os.PathLike) -> None:
-    tmp = os.fspath(path) + ".tmp"
-    with open(tmp, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
+    buffer = io.StringIO()
+    writer = csv.writer(buffer)
+    writer.writerow(
+        [
+            "window",
+            "t_start",
+            "t_end",
+            "events",
+            "prr",
+            "eas",
+            "handled_share",
+            "engagement",
+            "regret_total",
+            "regret_mean",
+            "policy",
+        ]
+    )
+    for w in windows:
         writer.writerow(
             [
-                "window",
-                "t_start",
-                "t_end",
-                "events",
-                "prr",
-                "eas",
-                "handled_share",
-                "engagement",
-                "regret_total",
-                "regret_mean",
-                "policy",
+                w.index,
+                w.t_start,
+                w.t_end,
+                w.n_events,
+                "" if w.prr is None else repr(w.prr),
+                repr(w.eas),
+                repr(w.handled_share),
+                repr(w.engagement),
+                repr(w.regret_total),
+                repr(w.regret_mean),
+                w.policy_tag,
             ]
         )
-        for w in windows:
-            writer.writerow(
-                [
-                    w.index,
-                    w.t_start,
-                    w.t_end,
-                    w.n_events,
-                    "" if w.prr is None else repr(w.prr),
-                    repr(w.eas),
-                    repr(w.handled_share),
-                    repr(w.engagement),
-                    repr(w.regret_total),
-                    repr(w.regret_mean),
-                    w.policy_tag,
-                ]
-            )
-    os.replace(tmp, path)
+    atomic_write(path, buffer.getvalue())

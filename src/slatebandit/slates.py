@@ -37,13 +37,29 @@ class SlatePolicyConfig:
 
 @dataclass
 class SlateDecision:
-    """A served slate plus everything needed to reproduce and audit it."""
+    """A served slate plus everything needed to reproduce and audit it.
+
+    ``propensities`` (action id -> probability of ranking first) and
+    ``posteriors`` (action id -> (successes, trials) at decision time) are
+    what the policy hands the logger, when it has them.
+    """
 
     served: Slate
     scored_all: tuple[tuple[Action, float], ...]
     null_position: int
     used_baseline: bool = False
     propensities: dict[str, float] | None = None
+    posteriors: dict[str, tuple[float, float]] | None = None
+
+    @classmethod
+    def serving(cls, slate: Slate) -> "SlateDecision":
+        """A decision that serves ``slate`` as it stands, scored in its own order."""
+        pos = slate.null_position
+        return cls(
+            served=slate,
+            scored_all=tuple(zip(slate.items, slate.scores)),
+            null_position=len(slate.items) if pos is None else pos,
+        )
 
 
 def assemble(
@@ -109,15 +125,9 @@ def safe_gate(
         audit.append((sampled_value, baseline_value, sampled_value < baseline_value))
     if sampled_value >= baseline_value:
         return replace(sampled, used_baseline=False)
-    scored_all = tuple(zip(baseline.items, baseline_scores))
-    pos = baseline.null_position
-    served = Slate(items=baseline.items, scores=baseline_scores)
-    return SlateDecision(
-        served=served,
-        scored_all=scored_all,
-        null_position=pos if pos is not None else len(baseline.items),
-        used_baseline=True,
-    )
+    decision = SlateDecision.serving(Slate(items=baseline.items, scores=baseline_scores))
+    decision.used_baseline = True
+    return decision
 
 
 def observed_actions(decision: SlateDecision) -> list[Action]:

@@ -174,7 +174,6 @@ def _diagonal_head(eigenvalues, weights):
         dim=len(lam),
         basis=np.eye(len(lam)),
         eigenvalues=lam,
-        inv_factor=np.diag(1.0 / np.sqrt(lam)),
         weights=np.asarray(weights, dtype=float),
         pcr_threshold=1.0,
     )

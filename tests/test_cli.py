@@ -6,12 +6,15 @@ asserted directly.
 
 import json
 
+import numpy as np
 import pytest
 
 from slatebandit.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
-from slatebandit.core import NULL_ACTION_ID, EventLog
-from slatebandit.linear import load_head
+from slatebandit.core import NULL_ACTION_ID, EventLog, RewardSpec, Survey
+from slatebandit.features import load_feature_map
+from slatebandit.linear import fit, load_head
 from slatebandit.mab import ContextBank, save_bank
+from slatebandit.sim import NlbPolicy
 
 
 def write_world(path, skip=0.3, freetype=False):
@@ -211,6 +214,38 @@ class TestPipeline:
         assert code == EXIT_OK
         report = json.loads(report_path.read_text())
         assert report["events"] == 300
+
+    def test_offline_head_matches_the_online_fold_of_the_same_log(self, tmp_path):
+        # Free-text turns attribute surveys to the null slot; the online
+        # NlbPolicy.aggregate absorbs them, so fit-bandit must as well.
+        world = write_world(tmp_path / "world.json", skip=0.2, freetype=True)
+        log = tmp_path / "run" / "events.jsonl"
+        fm_path = tmp_path / "feature_map.json"
+        head_path = tmp_path / "head.json"
+        for argv in (
+            ["simulate", "--world", str(world), "--out", str(tmp_path / "run"),
+             "--seed", "3", "--horizon", "300", "--policy", "uniform"],
+            ["train-repr", "--log", str(log), "--out", str(fm_path), "--seed", "4",
+             "--hidden", "8", "--epochs", "3", "--embedding-dim", "4"],
+            ["fit-bandit", "--log", str(log), "--features", str(fm_path),
+             "--out", str(head_path)],
+        ):
+            assert main(argv) == EXIT_OK
+        events = EventLog(log).read_all()
+        assert any(
+            e.feedback.click is not None and e.slate.items[e.feedback.click].is_null_item
+            and e.feedback.survey is not Survey.SKIPPED
+            for e in events
+        )
+        feature_map = load_feature_map(fm_path)
+        policy = NlbPolicy(
+            feature_fn=feature_map.transform, dim=feature_map.dim, reward_spec=RewardSpec()
+        )
+        policy.aggregate(events, now=events[-1].ts + 1)
+        online = fit(policy.stats)
+        offline = load_head(head_path)
+        assert offline.count == online.count
+        assert np.array_equal(offline.weights, online.weights)
 
     def test_target_policy_star_fallback(self, tmp_path):
         out = self.simulate(tmp_path)

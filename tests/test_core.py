@@ -17,7 +17,9 @@ from slatebandit.core import (
     Slate,
     Survey,
     ValidationError,
+    atomic_write,
     attributed_action,
+    attributed_rewards,
     decode_event,
     encode_event,
     null_item,
@@ -122,6 +124,22 @@ class TestAttribution:
             feedback=Feedback(),
         )
         assert attributed_action(event) is None
+
+
+class TestAttributedRewards:
+    def test_yields_rewarded_attributions_null_slot_included(self):
+        events = [
+            make_event(ts=0, click=0, survey=Survey.YES),  # content click
+            make_event(ts=1, click=0),  # no survey answer: no reward
+            make_event(ts=2, click=2, survey=Survey.NO),  # free-text turn on the null slot
+            make_event(ts=3, survey=Survey.YES),  # nothing selected: no action
+        ]
+        rows = list(attributed_rewards(events, RewardSpec()))
+        assert [(i, a.action_id, r) for i, _, a, r in rows] == [
+            (0, "a1", 1.0),
+            (2, NULL_ACTION_ID, -1.0),
+        ]
+        assert rows[1][1] is events[2]
 
 
 class TestEventValidation:
@@ -235,3 +253,33 @@ class TestEventLog:
         many.append_many(events)
         assert os.path.getsize(one.path) == os.path.getsize(many.path)
         assert one.read_all() == many.read_all()
+
+
+class TestAtomicWrite:
+    def test_failed_rename_keeps_the_old_file_and_leaves_no_temp(self, tmp_path, monkeypatch):
+        path = tmp_path / "out.json"
+        path.write_text("old\n")
+
+        def refuse(src, dst):
+            raise OSError("rename refused")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(OSError, match="rename refused"):
+            atomic_write(path, "new\n")
+        assert path.read_text() == "old\n"
+        assert os.listdir(tmp_path) == ["out.json"]
+
+    def test_success_leaves_only_the_target(self, tmp_path):
+        path = tmp_path / "out.csv"
+        atomic_write(path, "a,b\r\n1,2\r\n")
+        atomic_write(path, "a,b\r\n3,4\r\n")
+        assert os.listdir(tmp_path) == ["out.csv"]
+        assert path.read_bytes() == b"a,b\r\n3,4\r\n"
+
+    def test_mode_matches_a_plain_open_under_the_umask(self, tmp_path):
+        plain = tmp_path / "plain.txt"
+        with open(plain, "w", encoding="utf-8") as fh:
+            fh.write("x")
+        atomic_write(tmp_path / "atomic.txt", "x")
+        plain_mode = os.stat(plain).st_mode & 0o777
+        assert os.stat(tmp_path / "atomic.txt").st_mode & 0o777 == plain_mode

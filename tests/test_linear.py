@@ -6,6 +6,8 @@ integer-exactness contract on one-hot features. Sampler distributions are
 checked against hand-computed probabilities and Gaussian moments.
 """
 
+import json
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -15,7 +17,6 @@ from slatebandit.linear import (
     BanditHead,
     SufficientStats,
     absorb,
-    batch_recompute,
     bonus,
     evict_before,
     ews_probabilities,
@@ -35,6 +36,16 @@ def random_stats(rng, n=200, dim=6, window=None):
         phi = rng.normal(size=dim)
         absorb(stats, phi, float(rng.normal()), t)
     return stats
+
+
+def batch_recompute(stats):
+    """The sums recomputed from scratch over the retained entries."""
+    f = np.zeros(stats.dim)
+    g = np.zeros((stats.dim, stats.dim))
+    for _, phi, reward in stats.entries:
+        f += reward * phi
+        g += np.outer(phi, phi)
+    return f, g
 
 
 def one_hot_stats(counts, rewards_per_arm=None, dim=None):
@@ -160,15 +171,6 @@ class TestFit:
         with pytest.raises(ValidationError):
             fit(stats, pcr_threshold=1.5)
 
-    def test_inv_factor_inverts_the_cholesky_factor(self):
-        rng = np.random.default_rng(7)
-        head = fit(random_stats(rng, n=100, dim=4), pcr_threshold=1.0)
-        assert_allclose(
-            np.diag(head.inv_factor) * np.sqrt(head.eigenvalues),
-            np.ones(head.rank),
-            rtol=1e-12,
-        )
-
 
 class TestBonus:
     def test_one_hot_counts_come_back_as_exact_integers(self):
@@ -232,7 +234,6 @@ def diagonal_head(eigenvalues, weights):
         dim=len(lam),
         basis=np.eye(len(lam)),
         eigenvalues=lam,
-        inv_factor=np.diag(1.0 / np.sqrt(lam)),
         weights=np.asarray(weights, dtype=float),
         pcr_threshold=1.0,
     )
@@ -319,6 +320,36 @@ class TestHeadSnapshot:
             phi = rng.normal(size=4)
             assert predict(loaded, phi) == predict(head, phi)
             assert bonus(loaded, phi) == bonus(head, phi)
+
+    def test_saved_head_has_no_design_factor(self, tmp_path):
+        head = fit(random_stats(np.random.default_rng(14), n=50, dim=3))
+        save_head(head, tmp_path / "head.json")
+        record = json.loads((tmp_path / "head.json").read_text())
+        assert set(record) == {
+            "dim", "basis", "eigenvalues", "weights", "pcr_threshold", "ridge", "count",
+            "time_range",
+        }
+
+    def test_old_heads_with_the_factor_load_and_sample_as_before(self, tmp_path):
+        # Older heads stored inv_factor = inv(cholesky(diag(eigenvalues))) and
+        # sampled with basis @ (inv_factor.T @ z); the reciprocal-root scaling
+        # must give the same sampled scores bit for bit.
+        rng = np.random.default_rng(15)
+        head = fit(random_stats(rng, n=120, dim=5), pcr_threshold=0.9)
+        save_head(head, tmp_path / "head.json")
+        record = json.loads((tmp_path / "head.json").read_text())
+        factor = np.linalg.cholesky(np.diag(head.eigenvalues))
+        inv_factor = np.diag(1.0 / np.diag(factor))
+        record["inv_factor"] = inv_factor.tolist()
+        (tmp_path / "old.json").write_text(json.dumps(record, sort_keys=True))
+        loaded = load_head(tmp_path / "old.json")
+        candidates = [(f"a{i}", rng.normal(size=5)) for i in range(6)]
+        for seed in range(20):
+            _, scores = ts_sample(loaded, candidates, 0.7, np.random.default_rng(seed))
+            z = np.random.default_rng(seed).standard_normal(head.rank)
+            weights = head.weights + np.sqrt(0.7) * (head.basis @ (inv_factor.T @ z))
+            expected = np.array([float(weights @ phi) for _, phi in candidates])
+            assert np.array_equal(scores, expected)
 
     def test_integer_exactness_survives_the_round_trip(self, tmp_path):
         head = fit(one_hot_stats([49, 93]), pcr_threshold=1.0)
