@@ -11,8 +11,10 @@ import contextlib
 import json
 import os
 import uuid
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import accumulate
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -285,9 +287,9 @@ def categorical(weights, rng: np.random.Generator) -> int:
     Consumes exactly one ``rng.random()``; ``weights`` must have a positive
     total.
     """
-    edges = np.cumsum(weights)
+    edges = list(accumulate(weights))
     u = rng.random() * edges[-1]
-    return int(min(np.searchsorted(edges, u, side="right"), len(edges) - 1))
+    return min(bisect_right(edges, u), len(edges) - 1)
 
 
 def atomic_write(path: str | os.PathLike, text: str) -> None:

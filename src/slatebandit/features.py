@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -150,12 +151,18 @@ class FeaturizerSpec:
         )
 
 
+def _slot(value: str | None, vocab: list[str]) -> int:
+    """Position of ``value`` in its one-hot block; unknown or missing values
+    take the extra last slot."""
+    try:
+        return vocab.index(value)
+    except ValueError:
+        return len(vocab)
+
+
 def _one_hot(value: str | None, vocab: list[str]) -> np.ndarray:
     block = np.zeros(len(vocab) + 1)
-    try:
-        block[vocab.index(value)] = 1.0
-    except ValueError:
-        block[-1] = 1.0
+    block[_slot(value, vocab)] = 1.0
     return block
 
 
@@ -241,15 +248,41 @@ def loss_and_grads(
     return loss, grad_w, grad_b
 
 
-@dataclass
+# Most (context, action) outputs a FeatureMap keeps; the least recently used
+# one is dropped beyond this. A full memo of 32-wide vectors holds about
+# 2.7 MB; a world whose queries come from a few templates per context needs
+# templates x (pool + 1) entries, 156 for three 12-article contexts.
+TRANSFORM_MEMO_SIZE = 4096
+
+
+def _read_only(array) -> np.ndarray:
+    array = np.array(array, dtype=float)
+    array.flags.writeable = False
+    return array
+
+
+@dataclass(frozen=True)
 class FeatureMap:
-    """Trained featurizer + network; ``transform`` yields bandit features."""
+    """Trained featurizer + network; ``transform`` yields bandit features.
+
+    ``weights`` and ``biases`` become tuples of read-only float copies of
+    what was passed in, so no in-place edit can leave ``transform``'s memo
+    stale. ``featurizer`` is not frozen and must not be changed after
+    construction. The memo is not serialized.
+    """
 
     featurizer: FeaturizerSpec
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
+    weights: tuple[np.ndarray, ...]
+    biases: tuple[np.ndarray, ...]
     config: TrainConfig
     epoch_losses: list[float] = field(default_factory=list)
+    _memo: OrderedDict = field(
+        default_factory=OrderedDict, init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "weights", tuple(_read_only(w) for w in self.weights))
+        object.__setattr__(self, "biases", tuple(_read_only(b) for b in self.biases))
 
     @property
     def dim(self) -> int:
@@ -257,12 +290,31 @@ class FeatureMap:
         return self.weights[-1].shape[0]
 
     def transform(self, context: Context, action: Action) -> np.ndarray:
-        x = featurize(self.featurizer, context, action)
-        return forward(self.weights, self.biases, x)[-2][0]
+        """The last hidden layer for the pair, as a read-only vector.
 
-    def predict(self, context: Context, action: Action) -> float:
-        x = featurize(self.featurizer, context, action)
-        return float(forward(self.weights, self.biases, x)[-1][0, 0])
+        Outputs are memoised on exactly what ``featurize`` reads: the query,
+        the title and the one-hot slot of each vocabulary. This pays only
+        when whole queries repeat; a new query misses on every candidate and
+        costs the key and the insert on top of ``featurize`` + ``forward``.
+        """
+        spec = self.featurizer
+        key = (
+            context.query,
+            action.title,
+            *(_slot(context.features.get(n), v) for n, v in sorted(spec.context_vocabs.items())),
+            *(_slot(action.features.get(n), v) for n, v in sorted(spec.action_vocabs.items())),
+        )
+        memo = self._memo
+        phi = memo.get(key)
+        if phi is not None:
+            memo.move_to_end(key)
+            return phi
+        phi = forward(self.weights, self.biases, featurize(spec, context, action))[-2][0]
+        phi.flags.writeable = False
+        memo[key] = phi
+        if len(memo) > TRANSFORM_MEMO_SIZE:
+            memo.popitem(last=False)
+        return phi
 
     def to_dict(self) -> dict:
         return {
@@ -284,8 +336,8 @@ class FeatureMap:
         cfg = d["config"]
         return cls(
             featurizer=FeaturizerSpec.from_dict(d["featurizer"]),
-            weights=[np.asarray(w, dtype=float) for w in d["weights"]],
-            biases=[np.asarray(b, dtype=float) for b in d["biases"]],
+            weights=d["weights"],
+            biases=d["biases"],
             config=TrainConfig(
                 hidden_sizes=tuple(cfg["hidden_sizes"]),
                 learning_rate=cfg["learning_rate"],

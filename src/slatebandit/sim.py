@@ -527,7 +527,7 @@ def simulate_feedback(
         weights = []
         outside = 1.0
     # the outside weight is at least 1 - max(weights), so the total is positive
-    choice = categorical(np.array(weights + [outside]), rng)
+    choice = categorical(weights + [outside], rng)
 
     if choice < len(weights):
         truth = _truth_for(ctx_world, content[choice].action_id)
@@ -573,7 +573,7 @@ def step(
 ) -> LoggedEvent:
     """Generate, serve, and log one event."""
     world_rng = np.random.default_rng([world.seed, event_index])
-    weights = np.array([c.weight for c in world.contexts])
+    weights = [c.weight for c in world.contexts]
     ctx_world = world.contexts[categorical(weights, world_rng)]
     query = None
     if ctx_world.query_templates:

@@ -2,6 +2,7 @@
 
 import os
 
+import numpy as np
 import pytest
 
 from conftest import make_action, make_event, make_slate
@@ -20,6 +21,7 @@ from slatebandit.core import (
     atomic_write,
     attributed_action,
     attributed_rewards,
+    categorical,
     decode_event,
     encode_event,
     null_item,
@@ -253,6 +255,34 @@ class TestEventLog:
         many.append_many(events)
         assert os.path.getsize(one.path) == os.path.getsize(many.path)
         assert one.read_all() == many.read_all()
+
+
+def numpy_categorical(weights, rng) -> int:
+    """The cumsum + searchsorted form of the draw, kept as the reference."""
+    edges = np.cumsum(weights)
+    u = rng.random() * edges[-1]
+    return int(min(np.searchsorted(edges, u, side="right"), len(edges) - 1))
+
+
+class TestCategorical:
+    def test_matches_the_numpy_draw(self):
+        cases = np.random.default_rng(7)
+        for case in range(20_000):
+            weights = cases.random(int(cases.integers(2, 9)))
+            if case % 2:
+                weights = weights.tolist()
+            seed = int(cases.integers(2**32))
+            want = numpy_categorical(weights, np.random.default_rng(seed))
+            assert categorical(weights, np.random.default_rng(seed)) == want
+
+    def test_consumes_one_draw_and_skips_zero_weights(self):
+        rng = np.random.default_rng(3)
+        picks = {categorical([0.0, 2.0, 0.0, 1.0], rng) for _ in range(200)}
+        assert picks == {1, 3}
+        rng_a, rng_b = np.random.default_rng(4), np.random.default_rng(4)
+        categorical([1.0, 1.0], rng_a)
+        rng_b.random()
+        assert rng_a.random() == rng_b.random()
 
 
 class TestAtomicWrite:

@@ -18,6 +18,7 @@ from slatebandit.core import (
     ValidationError,
 )
 from slatebandit.features import (
+    TRANSFORM_MEMO_SIZE,
     FeatureMap,
     FeaturizerSpec,
     HashingEmbedder,
@@ -269,6 +270,79 @@ class TestTrain:
         assert np.all(np.abs(phi) < 1.0)
 
 
+class TestTransformMemo:
+    def _map(self):
+        spec = FeaturizerSpec(
+            embedding=HashingEmbedder(dim=4, seed=1),
+            context_vocabs={"channel": ["web", "app"]},
+            action_vocabs={"kind": ["faq"]},
+        )
+        weights, biases = init_params(spec.dim, (6, 3), np.random.default_rng(0))
+        return FeatureMap(featurizer=spec, weights=weights, biases=biases, config=TrainConfig())
+
+    @staticmethod
+    def _uncached(fm, ctx, act):
+        return forward(fm.weights, fm.biases, featurize(fm.featurizer, ctx, act))[-2][0]
+
+    def test_matches_the_uncached_pass_through_eviction(self):
+        fm = self._map()
+        act = Action(action_id="a", title="reset guide", features={"kind": "faq"})
+        contexts = [
+            Context(context_id="c", query=f"query {i}", features={"channel": "web"})
+            for i in range(TRANSFORM_MEMO_SIZE + 1)
+        ]
+        phis = [fm.transform(ctx, act) for ctx in contexts[:TRANSFORM_MEMO_SIZE]]
+        for ctx, phi in zip(contexts, phis):
+            assert phi.tobytes() == self._uncached(fm, ctx, act).tobytes()
+        # the memo is full; a hit makes contexts[0] the most recently used
+        assert fm.transform(contexts[0], act) is phis[0]
+        fm.transform(contexts[-1], act)
+        assert fm.transform(contexts[0], act) is phis[0]
+        # contexts[1] was the least recently used, so it was dropped
+        again = fm.transform(contexts[1], act)
+        assert again is not phis[1]
+        assert again.tobytes() == phis[1].tobytes()
+        assert fm.transform(contexts[1], act) is again
+
+    def test_unknown_and_missing_values_share_the_extra_slot(self):
+        fm = self._map()
+        act = Action(action_id="a", title="t", features={"kind": "howto"})
+        unknown = Context(context_id="c", query="q", features={"channel": "sms"})
+        missing = Context(context_id="c", query="q")
+        phi = fm.transform(unknown, act)
+        assert fm.transform(missing, Action(action_id="b", title="t")) is phi
+        assert phi.tobytes() == self._uncached(fm, missing, act).tobytes()
+
+    def test_every_input_featurize_reads_is_in_the_key(self):
+        fm = self._map()
+        ctx = Context(context_id="c", query="q", features={"channel": "web"})
+        act = Action(action_id="a", title="t", features={"kind": "faq"})
+        fm.transform(ctx, act)
+        for other_ctx, other_act in [
+            (Context(context_id="c", query="other", features={"channel": "web"}), act),
+            (ctx, Action(action_id="a", title="other", features={"kind": "faq"})),
+            (Context(context_id="c", query="q", features={"channel": "app"}), act),
+            (ctx, Action(action_id="a", title="t")),
+        ]:
+            got = fm.transform(other_ctx, other_act)
+            assert got.tobytes() == self._uncached(fm, other_ctx, other_act).tobytes()
+
+    def test_returned_vector_is_read_only(self):
+        fm = self._map()
+        phi = fm.transform(Context(context_id="c", query="q"), Action(action_id="a"))
+        with pytest.raises(ValueError):
+            phi[0] = 1.0
+
+    def test_weights_cannot_change_in_place(self):
+        fm = self._map()
+        with pytest.raises(ValueError):
+            fm.weights[0][0, 0] = 1.0
+        with pytest.raises(ValueError):
+            fm.biases[-1] += 1.0
+        with pytest.raises(AttributeError):
+            fm.weights = ()
+
+
 class TestFeatureMapSnapshot:
     def test_round_trip_preserves_predictions(self, tmp_path):
         events = [
@@ -282,7 +356,9 @@ class TestFeatureMapSnapshot:
         loaded = load_feature_map(path)
         ctx = Context(context_id="c", query="reset password")
         act = Action(action_id="a9", title="password reset guide")
-        assert loaded.predict(ctx, act) == fm.predict(ctx, act)
+        x = featurize(spec, ctx, act)
+        output = forward(fm.weights, fm.biases, x)[-1]
+        assert forward(loaded.weights, loaded.biases, x)[-1].tobytes() == output.tobytes()
         assert_allclose(loaded.transform(ctx, act), fm.transform(ctx, act))
         assert loaded.epoch_losses == fm.epoch_losses
 

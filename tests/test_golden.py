@@ -7,8 +7,9 @@ a change that moves them on purpose has to say why and pin new values.
 
 The runs are small (a few hundred to a thousand events each) and cover the
 CLI ``simulate`` outputs for the discrete and uniform policies with free-text
-turns on, the discrete policy with the safe gate and pool expansion, and the
-neural-linear policy with both samplers.
+turns on, the discrete policy with the safe gate and pool expansion, the
+neural-linear policy with both samplers, and the learned-feature pipeline
+(``train-repr``, ``fit-bandit`` and ``simulate --policy nlb --features``).
 """
 
 import hashlib
@@ -110,6 +111,11 @@ PINNED = {
     "nlb_ts": {
         "events": "00867e160c7bfb02e6b70a01033f30715781f688f8c48a0aeaddb387cee91702",
         "metrics.csv": "1000051a8983cac32b9bc6cb3e5867f6c87615a36807e5ffc55f28697a7d20ff",
+    },
+    "cli_learned_features": {
+        "fmap.json": "6ae6e8035f2b78fd550c68cacca215a638b9976495f147f56de5e0c3c9c7ae49",
+        "head.json": "5f065b8f9ced3b46a9b326064270aacbf41a60e8865fa68d17fd695052492ad7",
+        "events.jsonl": "9f83b5aabac1299d10f40fa1ea603bc407d1865ec6dff4150da3f48eccf163c7",
     },
     "nlb_ews": {
         "events": "8efeee3159d03fdd15b31cafb7a98aa7d263e8dc2ab812a888a1a96c5636eef5",
@@ -216,3 +222,29 @@ def test_nlb_over_a_feature_table(tmp_path, sampler):
     result = run(world, policy, schedule, policy_seed=4)
     assert policy.head is not None
     assert run_digests(tmp_path, result) == PINNED[f"nlb_{sampler}"]
+
+
+def test_cli_learned_feature_pipeline(tmp_path):
+    world_path = tmp_path / "world.json"
+    world_path.write_text(json.dumps(WORLD))
+    log = tmp_path / "uniform" / "events.jsonl"
+    fmap = tmp_path / "fmap.json"
+    head = tmp_path / "head.json"
+    served = tmp_path / "nlb" / "events.jsonl"
+    for argv in (
+        ["simulate", "--world", str(world_path), "--out", str(log.parent), "--seed", "31",
+         "--horizon", "400", "--policy", "uniform", "--slate-length", "3"],
+        ["train-repr", "--log", str(log), "--out", str(fmap), "--seed", "5",
+         "--hidden", "16,8", "--epochs", "4", "--embedding-dim", "8"],
+        ["fit-bandit", "--log", str(log), "--features", str(fmap), "--out", str(head)],
+        ["simulate", "--world", str(world_path), "--out", str(served.parent), "--seed", "32",
+         "--horizon", "400", "--policy", "nlb", "--sampler", "ts", "--features", str(fmap),
+         "--slate-length", "4", "--aggregation-seconds", "3600"],
+    ):
+        assert main(argv) == EXIT_OK
+    got = {
+        "fmap.json": sha256(fmap.read_bytes()),
+        "head.json": sha256(head.read_bytes()),
+        "events.jsonl": sha256(served.read_bytes()),
+    }
+    assert got == PINNED["cli_learned_features"]
