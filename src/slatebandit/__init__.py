@@ -47,10 +47,8 @@ from .mab import (
     ContextBank,
     LambdaConfig,
     estimate_propensities,
-    joint_score,
     joint_scores,
     pre_sample,
-    sample_score,
     update,
 )
 from .sim import (
@@ -122,7 +120,6 @@ __all__ = [
     "ews_sample",
     "expand",
     "fit",
-    "joint_score",
     "joint_scores",
     "kpi_counters",
     "null_item",
@@ -134,7 +131,6 @@ __all__ = [
     "reward_of",
     "run",
     "safe_gate",
-    "sample_score",
     "snips",
     "train_feature_map",
     "ts_sample",

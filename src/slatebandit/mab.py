@@ -32,6 +32,11 @@ DEFAULT_WINDOW_SECONDS = 28 * 24 * 3600
 COMBINER_INTERPOLATION = "interpolation"
 COMBINER_NAIVE_PRODUCT = "naive_product"
 
+# Draws are clamped into the open interval (0, 1): x <= 0 becomes the smallest
+# normal double, x >= 1 the largest double below one; subnormals pass through.
+_TINY = np.finfo(float).tiny
+_BELOW_ONE = np.nextafter(1.0, 0.0)
+
 
 @dataclass
 class ArmStats:
@@ -151,9 +156,6 @@ class ContextBank:
     def total_survey_trials(self) -> float:
         return sum(s.trials for s in self.survey_stats.values())
 
-    def known_action_ids(self) -> list[str]:
-        return sorted(set(self.click_stats) | set(self.survey_stats))
-
 
 def click_weight(bank: ContextBank) -> float:
     """Current blend weight on the click draw for this context."""
@@ -161,26 +163,6 @@ def click_weight(bank: ContextBank) -> float:
     if cfg.fixed_weight is not None:
         return cfg.fixed_weight
     return cfg.k / (cfg.k + bank.total_survey_trials())
-
-
-def sample_score(stats: ArmStats, rng: np.random.Generator) -> float:
-    """One Thompson draw from the arm's posterior.
-
-    Counters of (successes, trials) under a uniform prior give a
-    Beta(successes + 1, failures + 1) posterior. The draw is clamped into the
-    open interval so a log of it is always finite.
-    """
-    draw = float(rng.beta(stats.successes + 1.0, stats.failures + 1.0))
-    return _clamp_open(draw)
-
-
-def _clamp_open(x: float) -> float:
-    tiny = np.finfo(float).tiny
-    if x <= 0.0:
-        return tiny
-    if x >= 1.0:
-        return float(np.nextafter(1.0, 0.0))
-    return x
 
 
 def combine_scores(click_draw: float, survey_draw: float, weight: float) -> float:
@@ -200,58 +182,48 @@ def joint_scores(
     Actions with no click stats draw through the uniform prior. Actions with
     no survey evidence score on the click draw alone under the interpolation
     combiner; under the naive product they multiply in a uniform survey draw.
-    Draw order: one vectorized click draw over all actions, then one vectorized
-    survey draw over the subset that has survey evidence (naive product draws
-    survey for all actions), so the rng stream advances deterministically.
+    Draw order: one ``rng.beta`` call over the click parameters of every
+    action followed by the survey parameters of the surveyed subset (every
+    action under the naive product), in list order, so the rng stream
+    advances deterministically. Each draw is clamped into the open interval,
+    so a log of it is always finite.
     """
     m = len(action_ids)
     if m == 0:
         return np.zeros(0)
-    click_a = np.ones(m)
-    click_b = np.ones(m)
+    naive = bank.lambda_config.combiner == COMBINER_NAIVE_PRODUCT
+    a, b = [1.0] * m, [1.0] * m
+    survey_a, survey_b, surveyed = [], [], []
     for i, action_id in enumerate(action_ids):
         stats = bank.click_stats.get(action_id)
         if stats is not None:
-            click_a[i] = stats.successes + 1.0
-            click_b[i] = stats.failures + 1.0
-    click_draws = rng.beta(click_a, click_b)
-
-    naive = bank.lambda_config.combiner == COMBINER_NAIVE_PRODUCT
-    has_survey = np.zeros(m, dtype=bool)
-    survey_a = np.ones(m)
-    survey_b = np.ones(m)
-    for i, action_id in enumerate(action_ids):
+            a[i] = stats.successes + 1.0
+            b[i] = stats.failures + 1.0
         stats = bank.survey_stats.get(action_id)
         if stats is not None and stats.trials > 0:
-            has_survey[i] = True
-            survey_a[i] = stats.successes + 1.0
-            survey_b[i] = stats.failures + 1.0
-    draw_mask = np.ones(m, dtype=bool) if naive else has_survey
-    survey_draws = np.ones(m)
-    if draw_mask.any():
-        survey_draws[draw_mask] = rng.beta(survey_a[draw_mask], survey_b[draw_mask])
-
-    weight = click_weight(bank)
-    out = np.empty(m)
-    for i in range(m):
-        qc = _clamp_open(float(click_draws[i]))
-        if naive:
-            out[i] = qc * _clamp_open(float(survey_draws[i]))
-        elif has_survey[i]:
-            out[i] = combine_scores(qc, _clamp_open(float(survey_draws[i])), weight)
-        else:
-            out[i] = qc
+            surveyed.append(i)
+            survey_a.append(stats.successes + 1.0)
+            survey_b.append(stats.failures + 1.0)
+        elif naive:
+            survey_a.append(1.0)
+            survey_b.append(1.0)
+    draws = rng.beta(a + survey_a, b + survey_b)
+    draws[draws <= 0.0] = _TINY
+    draws[draws >= 1.0] = _BELOW_ONE
+    out = draws[:m]
+    if naive:
+        return out * draws[m:]
+    if surveyed:
+        weight = click_weight(bank)
+        for i, survey_draw in zip(surveyed, draws[m:].tolist()):
+            out[i] = combine_scores(float(out[i]), survey_draw, weight)
     return out
-
-
-def joint_score(bank: ContextBank, action_id: str, rng: np.random.Generator) -> float:
-    return float(joint_scores(bank, [action_id], rng)[0])
 
 
 def rank_by_score(action_ids: list[str], scores: np.ndarray) -> list[int]:
     """Indices sorted by descending score, ties broken by ascending action id."""
-    order = sorted(range(len(action_ids)), key=lambda i: (-scores[i], action_ids[i]))
-    return order
+    keyed = zip(np.negative(scores, dtype=float).tolist(), action_ids, range(len(action_ids)))
+    return [i for _, _, i in sorted(keyed)]
 
 
 def pre_sample(

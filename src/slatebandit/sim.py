@@ -307,7 +307,7 @@ class MabPolicy(BasePolicy):
     ) -> slates.SlateDecision:
         bank = self.bank_for(context.context_id)
         actions = {a.action_id: a for a in candidates if not a.is_null_item}
-        for action_id in bank.known_action_ids():
+        for action_id in bank.click_stats.keys() | bank.survey_stats.keys():
             if action_id != NULL_ACTION_ID and action_id not in actions:
                 actions[action_id] = Action(action_id=action_id, title=action_id)
         ids = sorted(actions)
@@ -323,7 +323,7 @@ class MabPolicy(BasePolicy):
                 decision = slates.safe_gate(
                     decision,
                     baseline,
-                    lambda a: mab.joint_score(bank, a.action_id, rng),
+                    lambda a: mab.joint_scores(bank, [a.action_id], rng)[0],
                     audit=self.gate_audit,
                 )
         decision.posteriors = {}
@@ -564,17 +564,34 @@ def _truth_for(ctx_world: ContextWorld, action_id: str) -> ActionTruth:
     return truth
 
 
+def serving_tables(world: WorldSpec) -> tuple[list[float], list[tuple[Action, ...]]]:
+    """What ``step`` reads off the world on every event: the context weights
+    and each context's candidate actions, its pool in id order."""
+    weights = [c.weight for c in world.contexts]
+    candidates = [
+        tuple(Action(action_id=a, title=c.actions[a].title or a) for a in c.pool_ids())
+        for c in world.contexts
+    ]
+    return weights, candidates
+
+
 def step(
     world: WorldSpec,
     policy: BasePolicy,
     event_index: int,
     now: int,
     policy_rng: np.random.Generator,
+    tables: tuple[list[float], list[tuple[Action, ...]]] | None = None,
 ) -> LoggedEvent:
-    """Generate, serve, and log one event."""
+    """Generate, serve, and log one event.
+
+    ``tables`` is ``serving_tables(world)``, which ``run`` builds once per
+    call; a standalone call builds its own.
+    """
+    weights, candidates = tables or serving_tables(world)
     world_rng = np.random.default_rng([world.seed, event_index])
-    weights = [c.weight for c in world.contexts]
-    ctx_world = world.contexts[categorical(weights, world_rng)]
+    index = categorical(weights, world_rng)
+    ctx_world = world.contexts[index]
     query = None
     if ctx_world.query_templates:
         query = ctx_world.query_templates[
@@ -583,11 +600,7 @@ def step(
     context = Context(
         context_id=ctx_world.context_id, features=dict(ctx_world.features), query=query
     )
-    candidates = [
-        Action(action_id=a, title=ctx_world.actions[a].title or a)
-        for a in ctx_world.pool_ids()
-    ]
-    decision = policy.decide(context, candidates, policy_rng)
+    decision = policy.decide(context, list(candidates[index]), policy_rng)
     feedback = simulate_feedback(world, ctx_world, decision, world_rng)
     propensity = None
     if decision.propensities is not None and feedback.click is not None:
@@ -616,10 +629,17 @@ def achieved_value(ctx_world: ContextWorld, event: LoggedEvent) -> float:
     return _truth_for(ctx_world, content[0].action_id).p_yes
 
 
-def regret_of(world: WorldSpec, event: LoggedEvent) -> float:
-    """Shortfall of the top served item against the context's best action."""
+def regret_of(
+    world: WorldSpec, event: LoggedEvent, oracles: dict[str, float] | None = None
+) -> float:
+    """Shortfall of the top served item against the context's best action.
+
+    ``oracles`` maps context ids to their ``oracle_value``, for a caller that
+    scores many events against an unchanged world.
+    """
     ctx_world = world.context_by_id(event.context.context_id)
-    return oracle_value(ctx_world) - achieved_value(ctx_world, event)
+    best = oracle_value(ctx_world) if oracles is None else oracles[ctx_world.context_id]
+    return best - achieved_value(ctx_world, event)
 
 
 def analytic_oracle_prr(world: WorldSpec) -> float:
@@ -708,6 +728,8 @@ def run(
     window when the horizon does not land on a boundary.
     """
     policy_rng = np.random.default_rng(policy_seed)
+    tables = serving_tables(world)
+    oracles = {c.context_id: oracle_value(c) for c in world.contexts}
     events: list[LoggedEvent] = []
     windows: list[WindowMetrics] = []
     window_events: list[LoggedEvent] = []
@@ -756,10 +778,10 @@ def run(
             if next_exp == t:
                 policy.expand_pools(t, policy_rng)
                 next_exp += schedule.expansion_seconds
-        event = step(world, policy, event_index, now, policy_rng)
+        event = step(world, policy, event_index, now, policy_rng, tables)
         events.append(event)
         window_events.append(event)
-        window_regret.append(regret_of(world, event))
+        window_regret.append(regret_of(world, event, oracles))
         if log is not None:
             log.append(event)
     if window_events:

@@ -56,10 +56,10 @@ def test_01_posterior_sampling_means():
         rng = np.random.default_rng(102)
         worst = 0.0
         for alpha, n in [(0.0, 0.0), (3.0, 10.0), (17.0, 40.0), (1e6, 1e6)]:
-            arm = mab.ArmStats()
+            bank = mab.ContextBank(context_id="c")
             if n:
-                arm.add(0, alpha, n)
-            draws = np.array([mab.sample_score(arm, rng) for _ in range(100_000)])
+                bank.click_arm("a").add(0, alpha, n)
+            draws = mab.joint_scores(bank, ["a"] * 100_000, rng)
             a, b = alpha + 1.0, n - alpha + 1.0
             mean = a / (a + b)
             se = np.sqrt(a * b / ((a + b) ** 2 * (a + b + 1)) / len(draws))

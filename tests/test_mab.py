@@ -2,6 +2,8 @@
 
 Distributional checks compare Monte-Carlo output against closed-form Beta
 moments or quadrature integrals computed independently of the implementation.
+Draw-for-draw checks compare ``joint_scores`` with its per-element form, kept
+here as the reference.
 """
 
 import numpy as np
@@ -20,12 +22,10 @@ from slatebandit.mab import (
     combine_scores,
     estimate_propensities,
     evict,
-    joint_score,
     joint_scores,
     load_bank,
     pre_sample,
     rank_by_score,
-    sample_score,
     save_bank,
     update,
 )
@@ -45,6 +45,70 @@ def rank_first_oracle(posterior_params):
         p, _ = integrate.quad(integrand, 0.0, 1.0, limit=200)
         out.append(p)
     return out
+
+
+def reference_joint_scores(bank, action_ids, rng):
+    """The per-element form of ``joint_scores``, kept as the reference: one
+    beta call for the click draws, one for the surveyed subset, then a scalar
+    clamp and blend per action."""
+
+    def clamp(x):
+        if x <= 0.0:
+            return np.finfo(float).tiny
+        if x >= 1.0:
+            return float(np.nextafter(1.0, 0.0))
+        return x
+
+    m = len(action_ids)
+    if m == 0:
+        return np.zeros(0)
+    click_a = np.ones(m)
+    click_b = np.ones(m)
+    for i, action_id in enumerate(action_ids):
+        stats = bank.click_stats.get(action_id)
+        if stats is not None:
+            click_a[i] = stats.successes + 1.0
+            click_b[i] = stats.failures + 1.0
+    click_draws = rng.beta(click_a, click_b)
+    naive = bank.lambda_config.combiner == COMBINER_NAIVE_PRODUCT
+    has_survey = np.zeros(m, dtype=bool)
+    survey_a = np.ones(m)
+    survey_b = np.ones(m)
+    for i, action_id in enumerate(action_ids):
+        stats = bank.survey_stats.get(action_id)
+        if stats is not None and stats.trials > 0:
+            has_survey[i] = True
+            survey_a[i] = stats.successes + 1.0
+            survey_b[i] = stats.failures + 1.0
+    draw_mask = np.ones(m, dtype=bool) if naive else has_survey
+    survey_draws = np.ones(m)
+    if draw_mask.any():
+        survey_draws[draw_mask] = rng.beta(survey_a[draw_mask], survey_b[draw_mask])
+    weight = click_weight(bank)
+    out = np.empty(m)
+    for i in range(m):
+        qc = clamp(float(click_draws[i]))
+        if naive:
+            out[i] = qc * clamp(float(survey_draws[i]))
+        elif has_survey[i]:
+            out[i] = combine_scores(qc, clamp(float(survey_draws[i])), weight)
+        else:
+            out[i] = qc
+    return out
+
+
+def click_bank(successes=0.0, trials=0.0, action_id="a"):
+    """A bank whose one action holds the given click counters."""
+    bank = ContextBank(context_id="c")
+    arm = bank.click_arm(action_id)
+    if trials:
+        arm.add(0, successes, trials)
+    return bank
+
+
+def one_score(bank, action_id, rng):
+    """One action scored alone, as the safe gate rescores a baseline item."""
+    return float(joint_scores(bank, [action_id], rng)[0])
 
 
 class TestArmStats:
@@ -102,26 +166,22 @@ class TestArmStats:
 class TestSampleScore:
     def test_matches_beta_moments(self):
         # logged (successes=3, trials=10) -> Beta(4, 8): mean 1/3
-        s = ArmStats()
-        s.add(0, 3.0, 10.0)
         rng = np.random.default_rng(7)
-        draws = np.array([sample_score(s, rng) for _ in range(20000)])
+        draws = joint_scores(click_bank(3.0, 10.0), ["a"] * 20000, rng)
         assert_allclose(draws.mean(), 4.0 / 12.0, atol=0.01)
         assert_allclose(draws.var(), (4.0 * 8.0) / (12.0**2 * 13.0), atol=0.005)
 
     def test_empty_stats_draw_uniform(self):
         rng = np.random.default_rng(3)
-        draws = np.array([sample_score(ArmStats(), rng) for _ in range(20000)])
+        draws = joint_scores(click_bank(), ["a"] * 20000, rng)
         assert_allclose(draws.mean(), 0.5, atol=0.02)
         assert_allclose(draws.var(), 1.0 / 12.0, atol=0.01)
 
     def test_draws_stay_inside_open_interval(self):
         rng = np.random.default_rng(0)
-        s = ArmStats()
-        s.add(0, 0.0, 1000.0)  # posterior mass hugs zero
-        for _ in range(200):
-            d = sample_score(s, rng)
-            assert 0.0 < d < 1.0
+        bank = click_bank(0.0, 1000.0)  # posterior mass hugs zero
+        draws = joint_scores(bank, ["a"] * 200, rng)
+        assert np.all((0.0 < draws) & (draws < 1.0))
 
 
 class TestCombineScores:
@@ -161,7 +221,7 @@ class TestJointScore:
     def test_no_survey_stats_equals_click_draw_exactly(self):
         bank = ContextBank(context_id="c")
         bank.click_arm("a1").add(0, 3.0, 10.0)
-        draw_joint = joint_score(bank, "a1", np.random.default_rng(5))
+        draw_joint = one_score(bank, "a1", np.random.default_rng(5))
         rng = np.random.default_rng(5)
         expected = float(rng.beta(np.array([4.0]), np.array([8.0]))[0])
         assert draw_joint == expected
@@ -169,7 +229,7 @@ class TestJointScore:
     def test_unknown_action_scores_through_uniform_prior(self):
         bank = ContextBank(context_id="c")
         rng = np.random.default_rng(11)
-        draws = np.array([joint_score(bank, "ghost", rng) for _ in range(20000)])
+        draws = np.array([one_score(bank, "ghost", rng) for _ in range(20000)])
         assert_allclose(draws.mean(), 0.5, atol=0.02)
 
     def test_survey_stats_pull_score_toward_survey_rate(self):
@@ -179,7 +239,7 @@ class TestJointScore:
         bank.click_arm("a1").add(0, 90.0, 100.0)
         bank.survey_arm("a1").add(0, 5.0, 100.0)  # bad survey record
         rng = np.random.default_rng(2)
-        draws = np.array([joint_score(bank, "a1", rng) for _ in range(4000)])
+        draws = np.array([one_score(bank, "a1", rng) for _ in range(4000)])
         # 0.9^0.2 * 0.06^0.8 is about 0.10; far below the click rate
         assert draws.mean() < 0.2
 
@@ -189,7 +249,7 @@ class TestJointScore:
         bank.survey_arm("a1").add(0, 1.0, 1.0)
         evict(bank, 1000)
         assert bank.survey_stats["a1"].trials == 0.0
-        draw_joint = joint_score(bank, "a1", np.random.default_rng(5))
+        draw_joint = one_score(bank, "a1", np.random.default_rng(5))
         rng = np.random.default_rng(5)
         expected = float(rng.beta(np.array([4.0]), np.array([8.0]))[0])
         assert draw_joint == expected
@@ -201,19 +261,103 @@ class TestJointScore:
         )
         bank.click_arm("a1").add(0, 3.0, 10.0)
         bank.survey_arm("a1").add(0, 8.0, 10.0)
-        got = joint_score(bank, "a1", np.random.default_rng(9))
+        got = one_score(bank, "a1", np.random.default_rng(9))
         rng = np.random.default_rng(9)
         qc = float(rng.beta(np.array([4.0]), np.array([8.0]))[0])
         qs = float(rng.beta(np.array([9.0]), np.array([3.0]))[0])
         assert_allclose(got, qc * qs, rtol=1e-12)
 
     def test_vector_and_scalar_paths_agree(self):
+        # the one-action call the safe gate makes, against the per-element form
         bank = ContextBank(context_id="c")
         bank.click_arm("a1").add(0, 3.0, 10.0)
         bank.survey_arm("a1").add(0, 2.0, 4.0)
         vec = joint_scores(bank, ["a1"], np.random.default_rng(21))
-        scalar = joint_score(bank, "a1", np.random.default_rng(21))
-        assert float(vec[0]) == scalar
+        scalar = reference_joint_scores(bank, ["a1"], np.random.default_rng(21))
+        assert vec.tobytes() == scalar.tobytes()
+
+
+def random_bank(cases, lambda_config):
+    """Click arms with integer or fractional counters; about half also hold
+    survey counters, some of them empty."""
+    bank = ContextBank(context_id="c", lambda_config=lambda_config)
+    for i in range(int(cases.integers(0, 10))):
+        action_id = f"a{i}"
+        fractional = bool(cases.integers(2))
+        trials = cases.random() * 40 if fractional else float(cases.integers(0, 40))
+        successes = trials * cases.random() if fractional else float(cases.integers(0, trials + 1))
+        bank.click_arm(action_id).add(0, successes, trials)
+        if cases.random() < 0.5:
+            trials = float(cases.integers(0, 20)) + (cases.random() if fractional else 0.0)
+            bank.survey_arm(action_id).add(0, trials * cases.random(), trials)
+    return bank
+
+
+class StubBeta:
+    """Stands in for the generator: ``beta`` returns the next values of a
+    fixed cycle, one per parameter pair, in the order they are asked for."""
+
+    def __init__(self, values):
+        self.values = values
+        self.used = 0
+
+    def beta(self, a, b):
+        n = len(np.atleast_1d(a))
+        out = [self.values[(self.used + j) % len(self.values)] for j in range(n)]
+        self.used += n
+        return np.array(out)
+
+
+LAMBDA_CONFIGS = [
+    LambdaConfig(),
+    LambdaConfig(k=3.0),
+    LambdaConfig(fixed_weight=0.0),
+    LambdaConfig(fixed_weight=1.0),
+    LambdaConfig(fixed_weight=0.37),
+    LambdaConfig(combiner=COMBINER_NAIVE_PRODUCT),
+]
+
+
+class TestJointScoresMatchReference:
+    def test_random_banks_give_the_same_scores_and_stream(self):
+        cases = np.random.default_rng(15)
+        for case in range(600):
+            bank = random_bank(cases, LAMBDA_CONFIGS[case % len(LAMBDA_CONFIGS)])
+            known = sorted(bank.click_stats)
+            ghosts = [f"ghost{j}" for j in range(int(cases.integers(0, 3)))]
+            ids = [a for a in known if cases.random() < 0.8] + ghosts
+            ids = [ids[j] for j in cases.permutation(len(ids))]
+            seed = int(cases.integers(2**32))
+            rng_got, rng_want = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = joint_scores(bank, ids, rng_got)
+            want = reference_joint_scores(bank, ids, rng_want)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes(), (case, ids)
+            assert rng_got.bit_generator.state == rng_want.bit_generator.state
+
+    def test_empty_list_draws_nothing(self):
+        bank = click_bank(2.0, 5.0)
+        rng = np.random.default_rng(4)
+        before = rng.bit_generator.state
+        assert joint_scores(bank, [], rng).shape == (0,)
+        assert rng.bit_generator.state == before
+
+    def test_clamp_maps_the_edges_and_keeps_subnormals(self):
+        edges = [0.0, 1.0, 5e-324, -0.0, 0.25]
+        got = joint_scores(click_bank(1.0, 3.0), list("abcde"), StubBeta(edges))
+        tiny, below_one = np.finfo(float).tiny, np.nextafter(1.0, 0.0)
+        # np.clip(x, tiny, below_one) would lift the subnormal to tiny
+        assert got.tolist() == [tiny, below_one, 5e-324, tiny, 0.25]
+        for config in LAMBDA_CONFIGS:
+            bank = ContextBank(context_id="c", lambda_config=config)
+            for i, action_id in enumerate("abcdef"):
+                bank.click_arm(action_id).add(0, 1.0, 2.0)
+                if i % 2:
+                    bank.survey_arm(action_id).add(0, 1.0, 3.0)
+            ids = list("abcdef") + ["ghost"]
+            got = joint_scores(bank, ids, StubBeta(edges))
+            want = reference_joint_scores(bank, ids, StubBeta(edges))
+            assert got.tobytes() == want.tobytes()
 
 
 class TestRanking:
@@ -222,6 +366,17 @@ class TestRanking:
         scores = np.array([0.5, 0.5, 0.5, 0.9])
         order = rank_by_score(ids, scores)
         assert [ids[i] for i in order] == ["a1", "a10", "a2", "b"]
+
+    def test_matches_the_key_sort_on_ties(self):
+        # "__null__" sorts after upper-case ids and before lower-case ones
+        pool = ["__null__", "A1", "a1", "Zed", "b", "a10", "a2", "_x", "B"]
+        cases = np.random.default_rng(8)
+        for _ in range(500):
+            ids = [pool[j] for j in cases.permutation(len(pool))[: int(cases.integers(1, 10))]]
+            scores = cases.choice([0.0, 0.25, 0.5, 5e-324, 1.0], size=len(ids))
+            want = sorted(range(len(ids)), key=lambda i: (-scores[i], ids[i]))
+            assert rank_by_score(ids, scores) == want
+            assert rank_by_score(ids, scores.tolist()) == want
 
 
 class TestPreSample:

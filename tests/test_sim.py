@@ -405,6 +405,45 @@ class TestRunLoop:
         b = run(world, MabPolicy(), schedule, policy_seed=4)
         assert [encode_event(e) for e in a.events] != [encode_event(e) for e in b.events]
 
+    def test_standalone_steps_match_the_run(self):
+        # run builds its serving tables once; step called alone builds its own
+        world = self.learnable_world()
+        world.contexts[0].actions["off"] = ActionTruth(p_click=0.5, p_yes=0.5, in_pool=False)
+        for seed in (1, 2, 3):
+            schedule = Schedule(horizon=300, aggregation_seconds=3600)
+            ran = run(world, MabPolicy(), schedule, policy_seed=seed)
+            policy, rng, window, stepped = MabPolicy(), np.random.default_rng(seed), [], []
+            for i in range(schedule.horizon):
+                now = world.start_ts + i * world.seconds_per_event
+                if i and now % schedule.aggregation_seconds == 0:
+                    policy.aggregate(window, now)
+                    window = []
+                event = step(world, policy, i, now, rng)
+                window.append(event)
+                stepped.append(event)
+            assert [encode_event(e) for e in stepped] == [encode_event(e) for e in ran.events]
+
+    def test_world_edited_between_runs_is_served_as_edited(self):
+        world = one_context_world(
+            {
+                "best": ActionTruth(p_click=0.8, p_yes=0.9),
+                "meh": ActionTruth(p_click=0.8, p_yes=0.6),
+                "alt": ActionTruth(p_click=0.8, p_yes=0.7, in_pool=False),
+            }
+        )
+        schedule = Schedule(horizon=60)
+        first = run(world, OraclePolicy(world), schedule)
+        assert {e.slate.items[0].action_id for e in first.events} == {"best"}
+        world.contexts[0].actions["best"].in_pool = False
+        world.contexts[0].actions["alt"].in_pool = True
+        second = run(world, OraclePolicy(world), schedule)
+        assert {e.slate.items[0].action_id for e in second.events} == {"alt"}
+        # regret is measured against the edited pool's best action
+        assert all(w.regret_total == 0.0 for w in second.windows)
+        served = run(world, UniformRandomPolicy(), Schedule(horizon=200), policy_seed=1)
+        ids = {a.action_id for e in served.events for a in e.slate.content_items()}
+        assert ids == {"meh", "alt"}
+
     def test_mab_learns_the_better_survey_action(self):
         world = self.learnable_world()
         schedule = Schedule(horizon=2400, aggregation_seconds=3600)
