@@ -64,7 +64,7 @@ from .sim import (
     kpi_counters,
     run,
 )
-from .slates import SlateDecision, SlatePolicyConfig, assemble, observed_actions, safe_gate
+from .slates import SlateDecision, SlatePolicyConfig, assemble, safe_gate
 
 __version__ = "0.1.0"
 
@@ -123,7 +123,6 @@ __all__ = [
     "joint_scores",
     "kpi_counters",
     "null_item",
-    "observed_actions",
     "pre_sample",
     "prob_better",
     "promotion_gate",

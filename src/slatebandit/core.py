@@ -120,7 +120,7 @@ class Slate:
 
     def __init__(self, items, scores) -> None:
         object.__setattr__(self, "items", tuple(items))
-        object.__setattr__(self, "scores", tuple(float(s) for s in scores))
+        object.__setattr__(self, "scores", tuple(map(float, scores)))
         self.__post_init__()
 
     def __post_init__(self) -> None:
@@ -149,13 +149,6 @@ class Slate:
 
     def to_dict(self) -> dict:
         return {"items": [a.to_dict() for a in self.items], "scores": list(self.scores)}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Slate":
-        return cls(
-            items=[Action.from_dict(a) for a in d["items"]],
-            scores=d["scores"],
-        )
 
 
 @dataclass(frozen=True)
@@ -335,23 +328,70 @@ def encode_event(event: LoggedEvent) -> str:
     return json.dumps(record, sort_keys=True, separators=(",", ":"))
 
 
-def decode_event(line: str) -> LoggedEvent:
+def _decode_action(d, interned: dict | None) -> Action:
+    if not isinstance(d, dict):
+        raise ValidationError("slate item must be a JSON object")
+    features = d.get("features")
+    if features is not None and not isinstance(features, dict):
+        raise ValidationError("item features must be a JSON object")
+    if interned is None:
+        return Action.from_dict(d)
+    action_id, title = d["id"], d.get("title", "")
+    # Only string ids and titles are looked up (a list id is unhashable) and
+    # only string-valued features are stored, so ``==`` below cannot take
+    # 1 for True and hand back an Action that re-encodes to other bytes.
+    if type(action_id) is not str or type(title) is not str:
+        return Action.from_dict(d)
+    key = (action_id, title, bool(d.get("null", False)))
+    action = interned.get(key)
+    if action is None or action.features != (features or {}):
+        action = Action.from_dict(d)
+        if all(type(v) is str for v in action.features.values()):
+            interned[key] = action
+    return action
+
+
+def _field(record: dict, name: str, kind: type, what: str):
+    value = record[name]
+    if not isinstance(value, kind):
+        raise ValidationError(f"event field {name!r} must be a JSON {what}")
+    return value
+
+
+def decode_event(line: str, *, interned: dict | None = None) -> LoggedEvent:
+    """The event one log line holds; ValidationError when the line is not a
+    well-formed event.
+
+    ``interned`` is a table that one reading pass keeps across lines (as
+    ``EventLog.replay`` does). With it, slate items equal in id, title, null
+    flag and features decode to one shared ``Action`` object, as served
+    events share the pool's objects; an item whose features differ gets its
+    own. Without it every item is built afresh. Either way the events compare
+    equal and re-encode to the same bytes.
+    """
     try:
         record = json.loads(line)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"malformed event line: {exc}") from exc
+    if not isinstance(record, dict):
+        raise ValidationError("event line must hold a JSON object")
     try:
         survey = Survey(record["survey"])
     except (KeyError, ValueError) as exc:
         raise ValidationError("survey must be yes/no/skipped") from exc
-    posteriors = record.get("posteriors")
-    if posteriors is not None:
-        posteriors = {k: (float(v[0]), float(v[1])) for k, v in posteriors.items()}
     try:
+        posteriors = record.get("posteriors")
+        if posteriors is not None:
+            posteriors = _field(record, "posteriors", dict, "object")
+            posteriors = {k: (float(v[0]), float(v[1])) for k, v in posteriors.items()}
+        slate = _field(record, "slate", dict, "object")
+        items = _field(slate, "items", list, "list")
         return LoggedEvent(
             ts=record["ts"],
-            context=Context.from_dict(record["ctx"]),
-            slate=Slate.from_dict(record["slate"]),
+            context=Context.from_dict(_field(record, "ctx", dict, "object")),
+            slate=Slate(
+                items=[_decode_action(d, interned) for d in items], scores=slate["scores"]
+            ),
             feedback=Feedback(
                 click=record.get("click"),
                 survey=survey,
@@ -363,6 +403,10 @@ def decode_event(line: str) -> LoggedEvent:
         )
     except KeyError as exc:
         raise ValidationError(f"event line missing field {exc}") from exc
+    except ValidationError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"malformed event line: {exc}") from exc
 
 
 class EventLog:
@@ -381,18 +425,19 @@ class EventLog:
             fh.write(line + "\n")
             fh.flush()
 
-    def append_many(self, events: list[LoggedEvent]) -> None:
-        with open(self.path, "a", encoding="utf-8") as fh:
-            for event in events:
-                fh.write(encode_event(event) + "\n")
-            fh.flush()
-
     def replay(self) -> Iterator[LoggedEvent]:
+        """Events in append order, blank lines skipped.
+
+        One intern table serves the whole pass, so each distinct slate item
+        is built once and the events share its ``Action``, as served events
+        do (see ``decode_event``).
+        """
+        interned: dict = {}
         with open(self.path, "r", encoding="utf-8") as fh:
             for line in fh:
                 line = line.strip()
                 if line:
-                    yield decode_event(line)
+                    yield decode_event(line, interned=interned)
 
     def read_all(self) -> list[LoggedEvent]:
         return list(self.replay())

@@ -166,6 +166,18 @@ def _one_hot(value: str | None, vocab: list[str]) -> np.ndarray:
     return block
 
 
+def _featurize_key(spec: FeaturizerSpec, context: Context, action: Action) -> tuple:
+    """Exactly what ``featurize`` reads: the query, the title and the
+    one-hot slot of each vocabulary. Pairs with equal keys featurize to
+    equal vectors."""
+    return (
+        context.query,
+        action.title,
+        *(_slot(context.features.get(n), v) for n, v in sorted(spec.context_vocabs.items())),
+        *(_slot(action.features.get(n), v) for n, v in sorted(spec.action_vocabs.items())),
+    )
+
+
 def featurize(spec: FeaturizerSpec, context: Context, action: Action) -> np.ndarray:
     blocks = [spec.embedding.embed(context.query), spec.embedding.embed(action.title)]
     for name in sorted(spec.context_vocabs):
@@ -292,18 +304,13 @@ class FeatureMap:
     def transform(self, context: Context, action: Action) -> np.ndarray:
         """The last hidden layer for the pair, as a read-only vector.
 
-        Outputs are memoised on exactly what ``featurize`` reads: the query,
-        the title and the one-hot slot of each vocabulary. This pays only
-        when whole queries repeat; a new query misses on every candidate and
-        costs the key and the insert on top of ``featurize`` + ``forward``.
+        Outputs are memoised on ``_featurize_key``, which holds exactly what
+        ``featurize`` reads. This pays only when whole queries repeat; a new
+        query misses on every candidate and costs the key and the insert on
+        top of ``featurize`` + ``forward``.
         """
         spec = self.featurizer
-        key = (
-            context.query,
-            action.title,
-            *(_slot(context.features.get(n), v) for n, v in sorted(spec.context_vocabs.items())),
-            *(_slot(action.features.get(n), v) for n, v in sorted(spec.action_vocabs.items())),
-        )
+        key = _featurize_key(spec, context, action)
         memo = self._memo
         phi = memo.get(key)
         if phi is not None:
@@ -352,15 +359,26 @@ class FeatureMap:
 def training_pairs(
     events: list[LoggedEvent], reward_spec: RewardSpec, featurizer: FeaturizerSpec
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(X, y) over events with a defined reward attributed to a content action."""
+    """(X, y) over events with a defined reward attributed to a content action.
+
+    Rows are featurized once per distinct ``_featurize_key`` within the call.
+    That pays only when (query, title, slots) rows repeat, as they do when
+    queries come from a few templates; with all-new queries every row misses
+    and the key and the insert cost a little on top of ``featurize``.
+    """
     xs = []
     ys = []
+    rows: dict[tuple, np.ndarray] = {}
     for _, event, action, reward in attributed_rewards(events, reward_spec):
         # the network learns what an article is worth; free-text turns on the
         # null slot reach the bandit head only
         if action.is_null_item:
             continue
-        xs.append(featurize(featurizer, event.context, action))
+        key = _featurize_key(featurizer, event.context, action)
+        x = rows.get(key)
+        if x is None:
+            x = rows[key] = featurize(featurizer, event.context, action)
+        xs.append(x)
         ys.append(reward)
     if not xs:
         return np.zeros((0, featurizer.dim)), np.zeros(0)

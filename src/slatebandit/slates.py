@@ -128,9 +128,3 @@ def safe_gate(
     decision = SlateDecision.serving(Slate(items=baseline.items, scores=baseline_scores))
     decision.used_baseline = True
     return decision
-
-
-def observed_actions(decision: SlateDecision) -> list[Action]:
-    """Actions the user is assumed to have seen: content above the null item,
-    or the single item of a direct-trigger slate."""
-    return list(decision.served.content_items())

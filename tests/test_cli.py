@@ -378,6 +378,23 @@ class TestExitCodes:
         code = main(["report", "--log", str(log)])
         assert code == EXIT_RUNTIME
 
+    @pytest.mark.parametrize(
+        "edit",
+        [lambda line: "[1,2]", lambda line: line.replace('"slate":{', '"slate":5,"was":{', 1)],
+        ids=["line-not-an-object", "slate-not-an-object"],
+    )
+    def test_malformed_log_line_is_a_runtime_error(self, tmp_path, edit):
+        world = write_world(tmp_path / "world.json")
+        out = tmp_path / "run"
+        argv = ["simulate", "--world", str(world), "--out", str(out), "--seed", "1",
+                "--horizon", "20", "--policy", "uniform"]
+        assert main(argv) == EXIT_OK
+        lines = (out / "events.jsonl").read_text().splitlines()
+        lines[7] = edit(lines[7])
+        log = tmp_path / "bad.jsonl"
+        log.write_text("\n".join(lines) + "\n")
+        assert main(["report", "--log", str(log)]) == EXIT_RUNTIME
+
     def test_evaluate_without_propensities_is_a_runtime_error(self, tmp_path):
         # the discrete policy logs posteriors, not propensities, so its raw
         # log cannot feed the estimator directly

@@ -1,5 +1,6 @@
 """Domain types, reward mapping, and the event log."""
 
+import json
 import os
 
 import numpy as np
@@ -60,6 +61,10 @@ class TestSlate:
     def test_content_items_stop_at_null(self):
         slate = make_slate(["a1", "a2"])
         assert [a.action_id for a in slate.content_items()] == ["a1", "a2"]
+
+    def test_direct_trigger_slate_is_all_content(self):
+        slate = make_slate(["a1"], with_null=False)
+        assert [a.action_id for a in slate.content_items()] == ["a1"]
 
     def test_null_only_slate_has_no_content(self):
         slate = Slate(items=[null_item()], scores=[0.3])
@@ -246,15 +251,100 @@ class TestEventLog:
         log.append(make_event(ts=2))
         assert [e.ts for e in log.read_all()] == [1, 2]
 
-    def test_append_many_matches_repeated_append(self, tmp_path):
+    def test_append_writes_one_encoded_line_per_event(self, tmp_path):
         events = [make_event(ts=i) for i in range(5)]
-        one = EventLog(tmp_path / "one.jsonl")
-        for event in events:
-            one.append(event)
-        many = EventLog(tmp_path / "many.jsonl")
-        many.append_many(events)
-        assert os.path.getsize(one.path) == os.path.getsize(many.path)
-        assert one.read_all() == many.read_all()
+        path = tmp_path / "events.jsonl"
+        for event in events[:2]:
+            EventLog(path).append(event)
+        log = EventLog(path)
+        for event in events[2:]:
+            log.append(event)
+        assert path.read_text() == "".join(encode_event(e) + "\n" for e in events)
+        assert log.read_all() == events
+
+    def test_replay_shares_one_action_per_distinct_item(self, tmp_path):
+        log = EventLog(tmp_path / "events.jsonl")
+        for i in range(3):
+            log.append(make_event(ts=i, action_ids=["a1", "a2"]))
+        first, *rest = log.read_all()
+        for event in rest:
+            for mine, theirs in zip(event.slate.items, first.slate.items):
+                assert mine is theirs
+
+
+def item_lines(features_by_event: list[dict]) -> list[str]:
+    """One encoded event per entry, each serving item "a1" (same id, title and
+    null flag throughout) with the given features, then the null item."""
+    lines = []
+    for ts, item_features in enumerate(features_by_event):
+        slate = Slate(
+            items=[Action("a1", "Reset guide", features=item_features), null_item()],
+            scores=[0.5, 0.1],
+        )
+        event = LoggedEvent(ts=ts, context=Context("c"), slate=slate, feedback=Feedback())
+        lines.append(encode_event(event))
+    return lines
+
+
+def edited_line(edit) -> str:
+    record = json.loads(item_lines([{"kind": "faq"}])[0])
+    edit(record)
+    return json.dumps(record, sort_keys=True, separators=(",", ":"))
+
+
+def set_item_field(name, value):
+    return lambda r: r["slate"]["items"][0].__setitem__(name, value)
+
+
+class TestDecodeInterning:
+    def test_items_that_differ_only_in_features_decode_to_distinct_actions(self):
+        lines = item_lines([{"kind": "faq"}, {"kind": "howto"}, {"kind": "faq"}, {}])
+        table: dict = {}
+        decoded = [decode_event(line, interned=table) for line in lines]
+        got = [e.slate.items[0].features for e in decoded]
+        assert got == [{"kind": "faq"}, {"kind": "howto"}, {"kind": "faq"}, {}]
+        assert decoded[0].slate.items[0] is not decoded[1].slate.items[0]
+        assert [encode_event(e) for e in decoded] == lines
+
+    def test_interned_decode_equals_a_fresh_decode_of_each_line(self):
+        lines = item_lines([{"kind": "faq"}, {"kind": "faq"}, {}, {"kind": "faq"}])
+        table: dict = {}
+        decoded = [decode_event(line, interned=table) for line in lines]
+        assert decoded == [decode_event(line) for line in lines]
+        assert decoded[0].slate.items[0] is decoded[1].slate.items[0]
+        assert decoded[1].slate.items[1] is decoded[2].slate.items[1]
+
+    def test_non_string_values_keep_their_json_type(self):
+        # 1, 1.0 and true compare equal in Python; each must come back as written
+        lines = [edited_line(set_item_field("features", {"kind": v})) for v in (1, True, 1.0)]
+        lines += [edited_line(set_item_field("title", v)) for v in (1, True, 1.0)]
+        table: dict = {}
+        assert [encode_event(decode_event(line, interned=table)) for line in lines] == lines
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda r: r.__setitem__("ctx", [r["ctx"]]),
+            lambda r: r.__setitem__("slate", 5),
+            lambda r: r["slate"].__setitem__("items", {"a1": r["slate"]["items"][0]}),
+            lambda r: r["slate"]["items"].__setitem__(0, "a1"),
+            set_item_field("features", [["kind", "faq"]]),
+            set_item_field("id", ["a1"]),
+            lambda r: r["slate"].__setitem__("scores", ["high", "low"]),
+            lambda r: r.__setitem__("posteriors", [["a1", [1, 2]]]),
+        ],
+        ids=["ctx", "slate", "items", "item", "features", "id", "scores", "posteriors"],
+    )
+    def test_malformed_shapes_raise_validation_error(self, edit):
+        line = edited_line(edit)
+        for table in (None, {}):
+            with pytest.raises(ValidationError):
+                decode_event(line, interned=table)
+
+    @pytest.mark.parametrize("line", ["[1, 2]", '"event"', "5", "null"])
+    def test_line_that_is_not_an_object_raises_validation_error(self, line):
+        with pytest.raises(ValidationError):
+            decode_event(line)
 
 
 def numpy_categorical(weights, rng) -> int:

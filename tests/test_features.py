@@ -12,10 +12,15 @@ from conftest import make_event
 from slatebandit.core import (
     Action,
     Context,
+    Feedback,
+    LoggedEvent,
     NoDataError,
     RewardSpec,
+    Slate,
     Survey,
     ValidationError,
+    attributed_rewards,
+    null_item,
 )
 from slatebandit.features import (
     TRANSFORM_MEMO_SIZE,
@@ -194,6 +199,76 @@ class TestTrainingPairs:
         events = [make_event(action_ids=["a1", "a2"], click=1, survey=Survey.NO)]
         _, y = training_pairs(events, RewardSpec(), self._spec())
         assert_allclose(y, [-1.0])
+
+
+def reference_training_pairs(events, reward_spec, featurizer):
+    """``training_pairs`` without its memo: every row featurized on its own."""
+    rows = [
+        (featurize(featurizer, event.context, action), reward)
+        for _, event, action, reward in attributed_rewards(events, reward_spec)
+        if not action.is_null_item
+    ]
+    return np.asarray([x for x, _ in rows]), np.asarray([y for _, y in rows])
+
+
+class CountingEmbedder(HashingEmbedder):
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.calls = 0
+
+    def embed(self, text):
+        self.calls += 1
+        return super().embed(text)
+
+
+class TestTrainingPairsMemo:
+    def _log(self, n=300):
+        """Rows repeat, and some differ only in one vocabulary slot."""
+        rng = np.random.default_rng(4)
+        events = []
+        for ts in range(n):
+            ctx = Context(
+                context_id="c",
+                features={"channel": str(rng.choice(["web", "app", "fax"]))},
+                query=str(rng.choice(["reset password", "refund", None])),
+            )
+            items = [
+                Action("a1", "Reset guide", features={"kind": str(rng.choice(["faq", "howto"]))}),
+                Action("a2", "Refund policy"),
+                null_item(),
+            ]
+            slate = Slate(items=items, scores=[0.5, 0.4, 0.1])
+            click = int(rng.integers(3))
+            survey = Survey.YES if rng.random() < 0.5 else Survey.NO
+            events.append(
+                LoggedEvent(ts=ts, context=ctx, slate=slate, feedback=Feedback(click, survey))
+            )
+        return events
+
+    def _spec(self, embedding):
+        return FeaturizerSpec(
+            embedding=embedding,
+            context_vocabs={"channel": ["app", "web"]},
+            action_vocabs={"kind": ["faq", "howto"]},
+        )
+
+    def test_bit_equal_to_featurizing_every_row(self):
+        events = self._log()
+        spec = self._spec(HashingEmbedder(dim=8, seed=2))
+        x, y = training_pairs(events, RewardSpec(), spec)
+        ref_x, ref_y = reference_training_pairs(events, RewardSpec(), spec)
+        assert len(y) > 100
+        assert x.dtype == ref_x.dtype and x.shape == ref_x.shape
+        assert x.tobytes() == ref_x.tobytes()
+        assert y.tobytes() == ref_y.tobytes()
+
+    def test_each_distinct_row_is_embedded_once(self):
+        events = self._log()
+        embedder = CountingEmbedder(dim=8, seed=2)
+        x, _ = training_pairs(events, RewardSpec(), self._spec(embedder))
+        distinct = len(np.unique(x, axis=0))
+        assert distinct < len(x) / 4
+        assert embedder.calls == 2 * distinct
 
 
 class TestTrain:

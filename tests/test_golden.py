@@ -5,6 +5,9 @@ cannot see a change that moves the RNG stream or the arithmetic. These
 digests were recorded once and must not move when the code is refactored;
 a change that moves them on purpose has to say why and pin new values.
 
+Every run's event log also goes through ``check_decode_oracle``: an interned
+read of the whole log must equal a fresh decode of each line.
+
 The runs are small (a few hundred to a thousand events each) and cover the
 CLI ``simulate`` outputs for the discrete and uniform policies with free-text
 turns on, the discrete policy with the safe gate and pool expansion, the
@@ -20,7 +23,15 @@ import pytest
 
 from slatebandit import mab
 from slatebandit.cli import EXIT_OK, main
-from slatebandit.core import Action, RewardSpec, Slate, encode_event, null_item
+from slatebandit.core import (
+    Action,
+    EventLog,
+    RewardSpec,
+    Slate,
+    decode_event,
+    encode_event,
+    null_item,
+)
 from slatebandit.expansion import ExpansionConfig
 from slatebandit.sim import (
     FeatureTable,
@@ -132,6 +143,15 @@ def world_spec() -> WorldSpec:
     return WorldSpec.from_dict(WORLD)
 
 
+def check_decode_oracle(path) -> None:
+    """Reading the log back in one interned pass gives, event for event, what
+    decoding each line on its own gives, and re-encodes to the same bytes."""
+    text = path.read_text(encoding="utf-8")
+    replayed = EventLog(path).read_all()
+    assert replayed == [decode_event(line) for line in text.splitlines()]
+    assert "".join(encode_event(e) + "\n" for e in replayed) == text
+
+
 def cli_digests(tmp_path, policy: str, extra: list[str]) -> dict[str, str]:
     world_path = tmp_path / "world.json"
     world_path.write_text(json.dumps(WORLD))
@@ -141,6 +161,7 @@ def cli_digests(tmp_path, policy: str, extra: list[str]) -> dict[str, str]:
         "--horizon", "600", "--policy", policy, "--aggregation-seconds", "3600",
     ]
     assert main(argv + extra) == EXIT_OK
+    check_decode_oracle(out / "events.jsonl")
     return {
         p.relative_to(out).as_posix(): sha256(p.read_bytes())
         for p in sorted(out.rglob("*"))
@@ -150,6 +171,8 @@ def cli_digests(tmp_path, policy: str, extra: list[str]) -> dict[str, str]:
 
 def run_digests(tmp_path, result) -> dict[str, str]:
     events = "".join(encode_event(e) + "\n" for e in result.events)
+    (tmp_path / "events.jsonl").write_text(events, encoding="utf-8")
+    check_decode_oracle(tmp_path / "events.jsonl")
     csv_path = tmp_path / "metrics.csv"
     write_metrics_csv(result.windows, csv_path)
     return {"events": sha256(events.encode()), "metrics.csv": sha256(csv_path.read_bytes())}
@@ -242,6 +265,8 @@ def test_cli_learned_feature_pipeline(tmp_path):
          "--slate-length", "4", "--aggregation-seconds", "3600"],
     ):
         assert main(argv) == EXIT_OK
+    check_decode_oracle(log)
+    check_decode_oracle(served)
     got = {
         "fmap.json": sha256(fmap.read_bytes()),
         "head.json": sha256(head.read_bytes()),

@@ -10,7 +10,6 @@ from slatebandit.slates import (
     SlateError,
     SlatePolicyConfig,
     assemble,
-    observed_actions,
     safe_gate,
     slate_value,
 )
@@ -168,22 +167,3 @@ class TestSlateValue:
             scores=[0.7, 0.2],
         )
         assert_allclose(slate_value(slate), 0.9)
-
-
-class TestObservedActions:
-    def test_content_above_the_null_slot(self):
-        decision = assemble(
-            scored_list([("a", 0.9), ("b", 0.8), ("null", 0.5)]), SlatePolicyConfig()
-        )
-        assert [a.action_id for a in observed_actions(decision)] == ["a", "b"]
-
-    def test_direct_trigger_slate_exposes_its_single_item(self):
-        decision = assemble(
-            scored_list([("a", 0.95), ("null", 0.4)]),
-            SlatePolicyConfig(allow_direct_trigger=True, direct_trigger_margin=0.4),
-        )
-        assert [a.action_id for a in observed_actions(decision)] == ["a"]
-
-    def test_empty_slate_has_no_observed_actions(self):
-        decision = assemble(scored_list([("null", 0.9), ("a", 0.1)]), SlatePolicyConfig())
-        assert observed_actions(decision) == []
