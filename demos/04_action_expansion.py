@@ -12,8 +12,6 @@ to show what the warm start is worth.
 import copy
 import dataclasses
 
-import numpy as np
-
 from slatebandit.expansion import ExpansionConfig, expand
 from slatebandit.mab import ArmStats, null_survey_stats
 from slatebandit.sim import (
@@ -83,8 +81,7 @@ def main() -> None:
 
     cold = copy.deepcopy(policy)
 
-    report = expand(bank, foreign_history(ts=PHASE_EVENTS * 60),
-                    ExpansionConfig(), np.random.default_rng(17))
+    report = expand(bank, foreign_history(ts=PHASE_EVENTS * 60), ExpansionConfig())
     print(f"{'candidate':>16} {'trials':>7} {'p(beats null)':>13}  verdict")
     for v in report.verdicts:
         shown = "-" if v.prob_better is None else f"{v.prob_better:.3f}"

@@ -14,8 +14,6 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from . import evaluation, expansion, features, linear, mab, sim
 from .core import (
     EventLog,
@@ -233,10 +231,8 @@ def cmd_expand(args: argparse.Namespace) -> int:
     expansion_config = expansion.ExpansionConfig(
         min_trials=float(_pick(args, config, "min-trials", 10.0)),
         false_positive_rate=float(_pick(args, config, "fp", 0.05)),
-        mc_draws=int(_pick(args, config, "mc-draws", 100000)),
     )
-    rng = np.random.default_rng(args.seed)
-    report = expansion.expand(bank, foreign, expansion_config, rng)
+    report = expansion.expand(bank, foreign, expansion_config)
     mab.save_bank(bank, args.out_bank)
     expansion.save_report(report, args.report)
     print(f"promoted {len(report.promoted)} of {len(report.verdicts)} candidates")
@@ -363,11 +359,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--foreign", required=True, help="foreign survey stats JSON")
     p.add_argument("--out-bank", required=True)
     p.add_argument("--report", required=True)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--config")
     p.add_argument("--min-trials", type=float)
     p.add_argument("--fp", type=float)
-    p.add_argument("--mc-draws", type=int)
     p.set_defaults(func=cmd_expand)
 
     p = sub.add_parser("evaluate", help="off-policy evaluation of a target policy")

@@ -65,7 +65,10 @@ class Context:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Context":
-        return cls(context_id=d["id"], features=dict(d.get("features") or {}), query=d.get("query"))
+        features = d.get("features")
+        if features is not None and not isinstance(features, dict):
+            raise ValidationError("context features must be a JSON object")
+        return cls(context_id=d["id"], features=dict(features or {}), query=d.get("query"))
 
 
 @dataclass(frozen=True)
@@ -379,6 +382,9 @@ def decode_event(line: str, *, interned: dict | None = None) -> LoggedEvent:
         survey = Survey(record["survey"])
     except (KeyError, ValueError) as exc:
         raise ValidationError("survey must be yes/no/skipped") from exc
+    escalation = record.get("escalation", False)
+    if type(escalation) is not bool:
+        raise ValidationError("event field 'escalation' must be a JSON boolean")
     try:
         posteriors = record.get("posteriors")
         if posteriors is not None:
@@ -395,7 +401,7 @@ def decode_event(line: str, *, interned: dict | None = None) -> LoggedEvent:
             feedback=Feedback(
                 click=record.get("click"),
                 survey=survey,
-                escalation=bool(record.get("escalation", False)),
+                escalation=escalation,
             ),
             propensity=record.get("propensity"),
             posteriors=posteriors,

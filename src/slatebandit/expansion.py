@@ -4,15 +4,20 @@ Actions that only ever surface through another surface (say, free-text
 disambiguation) accumulate survey evidence there. When that evidence makes an
 action credibly better than doing nothing, the action is copied into the
 target context's bank so the recommendation policy can start serving it.
+
+The gate is exact and draws nothing: P(candidate rate > reference rate) under
+the two Beta posteriors is a finite sum whenever one of the four Beta
+parameters is an integer, which whole-number counts always give (Evan Miller,
+"Formulas for Bayesian A/B Testing", 2015). Counts with no integer parameter
+fall back to one-dimensional quadrature.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from .core import NULL_ACTION_ID, ValidationError, atomic_write
 from .mab import ArmStats, ContextBank
@@ -25,30 +30,77 @@ VERDICT_ALREADY_PRESENT = "already_present"
 
 @dataclass
 class ExpansionConfig:
-    """Gate parameters: evidence floor, false-positive budget, draw count."""
+    """Gate parameters: evidence floor and false-positive budget."""
 
     min_trials: float = 10.0
     false_positive_rate: float = 0.05
-    mc_draws: int = 100000
 
     def __post_init__(self) -> None:
         if self.min_trials < 1:
             raise ValidationError("min_trials must be at least 1")
         if not (0.0 < self.false_positive_rate < 1.0):
             raise ValidationError("false_positive_rate must lie in (0, 1)")
-        if self.mc_draws < 1:
-            raise ValidationError("mc_draws must be positive")
 
 
-def prob_better(
-    candidate: ArmStats, reference: ArmStats, mc_draws: int, rng: np.random.Generator
-) -> float:
-    """Monte-Carlo P(candidate rate > reference rate) under Beta posteriors."""
-    if mc_draws < 1:
-        raise ValidationError("mc_draws must be positive")
-    cand = rng.beta(candidate.successes + 1.0, candidate.failures + 1.0, size=mc_draws)
-    ref = rng.beta(reference.successes + 1.0, reference.failures + 1.0, size=mc_draws)
-    return float(np.mean(cand > ref))
+def _lnbeta(a: float, b: float) -> float:
+    return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
+
+
+def _exceedance_sum(a1: float, b1: float, a2: float, b2: float) -> float:
+    """P(X1 > X2) for X1 ~ Beta(a1, b1), X2 ~ Beta(a2, b2), summed over the
+    a1 terms of the closed form; a1 must be a positive integer, the other
+    parameters may be any positive reals."""
+    base = _lnbeta(a2, b2)
+    return math.fsum(
+        math.exp(_lnbeta(a2 + i, b1 + b2) - math.log(b1 + i) - _lnbeta(1.0 + i, b1) - base)
+        for i in range(int(a1))
+    )
+
+
+def _exceedance_quadrature(a1: float, b1: float, a2: float, b2: float) -> float:
+    """P(X1 > X2) as the integral of f_X1 * F_X2 over (0, 1)."""
+    # Only counts with no integer Beta parameter get here, which the
+    # simulator never produces, so scipy stays unimported on the serving path.
+    from scipy import integrate, special
+
+    norm = _lnbeta(a1, b1)
+
+    def integrand(x: float) -> float:
+        density = math.exp((a1 - 1.0) * math.log(x) + (b1 - 1.0) * math.log1p(-x) - norm)
+        return density * float(special.betainc(a2, b2, x))
+
+    value, _ = integrate.quad(integrand, 0.0, 1.0, epsabs=1e-12, limit=200)
+    return value
+
+
+def prob_better(candidate: ArmStats, reference: ArmStats) -> float:
+    """Exact P(candidate rate > reference rate) under Beta(s + 1, f + 1)
+    posteriors.
+
+    The closed form sums over one integer parameter. Swapping the two arms
+    (P(X > Y) = 1 - P(Y > X)) and mirroring both (1 - X ~ Beta(b, a)) bring
+    any of the four parameters into the summed slot, so the sum runs over the
+    smallest integer one. With no integer parameter the value comes from
+    quadrature instead.
+    """
+    ac, bc = candidate.successes + 1.0, candidate.failures + 1.0
+    ar, br = reference.successes + 1.0, reference.failures + 1.0
+    # (summed parameter, arguments of _exceedance_sum, whether to complement)
+    forms = (
+        (ac, (ac, bc, ar, br), False),
+        (ar, (ar, br, ac, bc), True),
+        (br, (br, ar, bc, ac), False),
+        (bc, (bc, ac, br, ar), True),
+    )
+    exact = [form for form in forms if form[0].is_integer()]
+    if not exact:
+        p = _exceedance_quadrature(ac, bc, ar, br)
+    else:
+        _, args, complement = min(exact, key=lambda form: form[0])
+        p = _exceedance_sum(*args)
+        if complement:
+            p = 1.0 - p
+    return min(1.0, max(0.0, p))
 
 
 @dataclass
@@ -85,7 +137,6 @@ def expand(
     bank: ContextBank,
     foreign_survey_stats: dict[str, ArmStats],
     config: ExpansionConfig,
-    rng: np.random.Generator,
 ) -> ExpansionReport:
     """Promote foreign actions whose survey rate credibly beats the null item.
 
@@ -94,8 +145,8 @@ def expand(
     A promoted action gets a copy of its foreign survey entries and a fresh,
     empty click-stats entry; its click posterior starts at the uniform prior so
     the policy explores it. Candidates already known to the bank are skipped.
-    Candidates are processed in sorted id order, so the rng stream and the
-    report are reproducible.
+    Candidates are processed in sorted id order and the gate draws nothing, so
+    the report depends only on the counts.
     """
     reference = bank.survey_stats.get(NULL_ACTION_ID)
     if reference is None:
@@ -117,7 +168,7 @@ def expand(
                 CandidateVerdict(action_id, stats.trials, None, VERDICT_INSUFFICIENT_TRIALS)
             )
             continue
-        p = prob_better(stats, reference, config.mc_draws, rng)
+        p = prob_better(stats, reference)
         if p >= 1.0 - config.false_positive_rate:
             bank.survey_stats[action_id] = stats.copy()
             bank.click_stats[action_id] = ArmStats()

@@ -257,8 +257,8 @@ def evict(bank: ContextBank, now: int) -> None:
         stats.evict_before(cutoff)
 
 
-def update(bank: ContextBank, event: LoggedEvent) -> None:
-    """Fold one logged event into the bank's counters.
+def fold(bank: ContextBank, event: LoggedEvent) -> None:
+    """Count one logged event into the bank's counters, evicting nothing.
 
     Observed actions (served above the null item, or the single item of a
     direct-trigger slate) each record a click trial; the clicked one also
@@ -269,8 +269,6 @@ def update(bank: ContextBank, event: LoggedEvent) -> None:
     """
     if event.context.context_id != bank.context_id:
         raise ValidationError("event context does not match this bank")
-    evict(bank, event.ts)
-
     clicked = event.clicked_action()
     for action in event.slate.content_items():
         success = 1.0 if clicked is not None and action.action_id == clicked.action_id else 0.0
@@ -283,6 +281,19 @@ def update(bank: ContextBank, event: LoggedEvent) -> None:
         return
     success = 1.0 if event.feedback.survey is Survey.YES else 0.0
     bank.survey_arm(target.action_id).add(event.ts, success, 1.0)
+
+
+def update(bank: ContextBank, event: LoggedEvent) -> None:
+    """Age the bank out as of the event's ts, then fold the event in.
+
+    A batch of events in time order can instead be folded one by one and
+    evicted once, at the last event's ts: the retained entries are the same,
+    and on whole-number counts so are the sums.
+    """
+    if event.context.context_id != bank.context_id:
+        raise ValidationError("event context does not match this bank")
+    evict(bank, event.ts)
+    fold(bank, event)
 
 
 def estimate_propensities(

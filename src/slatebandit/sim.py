@@ -237,7 +237,7 @@ class BasePolicy:
     def refit(self, now: int) -> None:
         pass
 
-    def expand_pools(self, now: int, rng: np.random.Generator) -> None:
+    def expand_pools(self, now: int) -> None:
         pass
 
 
@@ -320,11 +320,11 @@ class MabPolicy(BasePolicy):
         if self.slate_config.safe_exploration:
             baseline = self.slate_config.baselines.get(context.context_id)
             if baseline is not None:
+                baseline_scores = mab.joint_scores(
+                    bank, [a.action_id for a in baseline.items], rng
+                )
                 decision = slates.safe_gate(
-                    decision,
-                    baseline,
-                    lambda a: mab.joint_scores(bank, [a.action_id], rng)[0],
-                    audit=self.gate_audit,
+                    decision, baseline, baseline_scores.tolist(), audit=self.gate_audit
                 )
         decision.posteriors = {}
         for action in decision.served.items:
@@ -336,17 +336,22 @@ class MabPolicy(BasePolicy):
         return decision
 
     def aggregate(self, events: list[LoggedEvent], now: int) -> None:
+        """Fold the batch (in time order), then evict each touched bank once,
+        as of its last event; ``mab.update`` per event leaves the same state."""
+        last_ts: dict[str, int] = {}
         for event in events:
-            mab.update(self.bank_for(event.context.context_id), event)
+            context_id = event.context.context_id
+            mab.fold(self.bank_for(context_id), event)
+            last_ts[context_id] = event.ts
+        for context_id, ts in last_ts.items():
+            mab.evict(self.banks[context_id], ts)
 
-    def expand_pools(self, now: int, rng: np.random.Generator) -> None:
+    def expand_pools(self, now: int) -> None:
         for context_id in sorted(self.foreign_stats):
             bank = self.banks.get(context_id)
             if bank is None or mab.null_survey_stats(bank) is None:
                 continue
-            report = expansion.expand(
-                bank, self.foreign_stats[context_id], self.expansion_config, rng
-            )
+            report = expansion.expand(bank, self.foreign_stats[context_id], self.expansion_config)
             self.expansion_reports.append(report)
 
 
@@ -776,7 +781,7 @@ def run(
                 policy.refit(t)
                 next_refit += schedule.refit_seconds
             if next_exp == t:
-                policy.expand_pools(t, policy_rng)
+                policy.expand_pools(t)
                 next_exp += schedule.expansion_seconds
         event = step(world, policy, event_index, now, policy_rng, tables)
         events.append(event)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .core import Action, Slate, ValidationError
 
@@ -106,19 +106,22 @@ def slate_value(slate: Slate) -> float:
 def safe_gate(
     sampled: SlateDecision,
     baseline: Slate,
-    score_fn: Callable[[Action], float],
+    baseline_scores: Sequence[float],
     audit: list[tuple[float, float, bool]] | None = None,
 ) -> SlateDecision:
     """Serve the sampled slate only if it values at least the baseline slate.
 
-    The baseline's items are rescored with ``score_fn`` (the same sampling
-    path the sampled slate went through, so stat-less baseline items draw from
-    the uniform prior) and the sums are compared. Ties go to the sampled
-    slate. When the baseline wins, the decision's scored_all is the baseline
-    in its served order so the decision stays reproducible. When ``audit`` is
-    given, (sampled value, baseline value, used_baseline) is appended per call.
+    ``baseline_scores`` holds one score per baseline item, in item order,
+    drawn through the same sampling path the sampled slate went through (so
+    stat-less baseline items draw from the uniform prior); the sums are
+    compared. Ties go to the sampled slate. When the baseline wins, the
+    decision's scored_all is the baseline in its served order so the decision
+    stays reproducible. When ``audit`` is given, (sampled value, baseline
+    value, used_baseline) is appended per call.
     """
-    baseline_scores = [float(score_fn(a)) for a in baseline.items]
+    baseline_scores = [float(s) for s in baseline_scores]
+    if len(baseline_scores) != len(baseline.items):
+        raise SlateError("need one score per baseline item")
     baseline_value = float(sum(baseline_scores))
     sampled_value = slate_value(sampled.served)
     if audit is not None:

@@ -5,6 +5,7 @@ asserted directly.
 """
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -283,7 +284,6 @@ class TestExpandCommand:
                 "--foreign", str(foreign_path),
                 "--out-bank", str(out_bank),
                 "--report", str(report_path),
-                "--seed", "0",
             ]
         )
         assert code == EXIT_OK
@@ -293,6 +293,28 @@ class TestExpandCommand:
 
         after = load_bank(out_bank)
         assert after.survey_stats["candidate"].trials == 20.0
+
+    def test_sampling_options_are_gone_and_their_config_key_is_ignored(self, tmp_path):
+        bank = ContextBank(context_id="c0")
+        bank.survey_arm(NULL_ACTION_ID).add(0, 2.0, 10.0)
+        save_bank(bank, tmp_path / "bank.json")
+        (tmp_path / "foreign.json").write_text(
+            json.dumps({"candidate": {"entries": [[0, 18.0, 20.0]]}})
+        )
+        (tmp_path / "config.json").write_text(json.dumps({"mc-draws": 10}))
+        argv = [
+            "expand",
+            "--bank", str(tmp_path / "bank.json"),
+            "--foreign", str(tmp_path / "foreign.json"),
+            "--out-bank", str(tmp_path / "after.json"),
+            "--report", str(tmp_path / "report.json"),
+        ]
+        for extra in (["--seed", "0"], ["--mc-draws", "10"]):
+            with pytest.raises(SystemExit) as excinfo:
+                main(argv + extra)
+            assert excinfo.value.code == EXIT_CONFIG
+        assert main(argv + ["--config", str(tmp_path / "config.json")]) == EXIT_OK
+        assert json.loads((tmp_path / "report.json").read_text())["promoted"] == ["candidate"]
 
     def test_bank_without_null_reference_is_a_runtime_error(self, tmp_path):
         bank = ContextBank(context_id="c0")
@@ -380,8 +402,12 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "edit",
-        [lambda line: "[1,2]", lambda line: line.replace('"slate":{', '"slate":5,"was":{', 1)],
-        ids=["line-not-an-object", "slate-not-an-object"],
+        [
+            lambda line: "[1,2]",
+            lambda line: line.replace('"slate":{', '"slate":5,"was":{', 1),
+            lambda line: re.sub(r'"escalation":(true|false)', r'"escalation":"\1"', line),
+        ],
+        ids=["line-not-an-object", "slate-not-an-object", "escalation-not-a-boolean"],
     )
     def test_malformed_log_line_is_a_runtime_error(self, tmp_path, edit):
         world = write_world(tmp_path / "world.json")

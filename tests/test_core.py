@@ -332,8 +332,14 @@ class TestDecodeInterning:
             set_item_field("id", ["a1"]),
             lambda r: r["slate"].__setitem__("scores", ["high", "low"]),
             lambda r: r.__setitem__("posteriors", [["a1", [1, 2]]]),
+            lambda r: r["ctx"].__setitem__("features", [["channel", "web"]]),
+            lambda r: r.__setitem__("escalation", "false"),
+            lambda r: r.__setitem__("escalation", 0),
         ],
-        ids=["ctx", "slate", "items", "item", "features", "id", "scores", "posteriors"],
+        ids=[
+            "ctx", "slate", "items", "item", "features", "id", "scores", "posteriors",
+            "ctx-features", "escalation-string", "escalation-number",
+        ],
     )
     def test_malformed_shapes_raise_validation_error(self, edit):
         line = edited_line(edit)

@@ -114,10 +114,10 @@ PINNED = {
         "summary.json": "fe77e78afdb5342cc367aa597529a40a1e99771b7cb32d223cd0a57715c70f23",
     },
     "mab_gate_expansion": {
-        "events": "38ebded4d3963ac8d9bcc43263e6e350fb8230b3f97b5f155e48efffc53094ae",
-        "metrics.csv": "4ea95c2d2f09b25fad5d95237cf400ae8651250cd8f5dc3e495e49ce94b5aec9",
-        "banks": "a4da17070d0479907fd1294c4c866fb6170b7a2c5660568d05a48c3237eae608",
-        "expansion_reports": "73971c8622c1376e4264cde0771f0dc65ed8493a57bb18e7629286177f47a784",
+        "events": "372147aa497e5c058cfd195a148e58f6b4cd2c1c5f954c99e42ac0570773b413",
+        "metrics.csv": "f0ab9d355a4fbe64aadbf276cab539807ef6c0e437d8cf02498baa90d44fe9e0",
+        "banks": "de50fb25673eadf70f705375b1b8e35e2047b1cf338545b585543dae4e23a0ff",
+        "expansion_reports": "387ae9fdec36a934d18eec73c6419343e1ddc5b1cedf4157852f64d603793a07",
     },
     "nlb_ts": {
         "events": "00867e160c7bfb02e6b70a01033f30715781f688f8c48a0aeaddb387cee91702",
@@ -206,7 +206,7 @@ def test_mab_with_safe_gate_and_expansion(tmp_path):
         window_seconds=6 * 3600,
         pre_sample_k=3,
         foreign_stats={"account": {"acc_new": foreign, "acc_weak": weak}},
-        expansion_config=ExpansionConfig(mc_draws=2000),
+        expansion_config=ExpansionConfig(),
     )
     schedule = Schedule(horizon=1000, aggregation_seconds=3600, expansion_seconds=4 * 3600)
     result = run(world, policy, schedule, policy_seed=8)

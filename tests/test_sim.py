@@ -514,6 +514,63 @@ class TestRunLoop:
         for sampled_value, baseline_value, _ in policy.gate_audit:
             assert np.isfinite(sampled_value) and np.isfinite(baseline_value)
 
+    def test_gated_request_rescores_its_baseline_in_one_draw_call(self, monkeypatch):
+        from slatebandit import mab
+
+        calls = []
+        real = mab.joint_scores
+        monkeypatch.setattr(
+            mab, "joint_scores", lambda bank, ids, rng: calls.append(list(ids)) or real(bank, ids, rng)
+        )
+        baseline = Slate(
+            items=[Action(action_id="good", title="good"), Action(action_id="bad", title="bad"), null_item()],
+            scores=[0.0, 0.0, 0.0],
+        )
+        policy = MabPolicy(
+            slate_config=SlatePolicyConfig(safe_exploration=True, baselines={"c0": baseline})
+        )
+        run(self.learnable_world(), policy, Schedule(horizon=30, aggregation_seconds=600), policy_seed=3)
+        assert len(policy.gate_audit) == 30
+        # per request: one call over the pool, then one over the whole baseline
+        assert calls[1::2] == [["good", "bad", NULL_ACTION_ID]] * 30
+        assert len(calls) == 60
+
+    def test_batched_aggregation_leaves_the_per_event_bank_state(self):
+        from slatebandit import mab
+
+        truth = {a: ActionTruth(p_click=0.5, p_yes=0.6) for a in ("a", "b", "c")}
+        world = WorldSpec(
+            contexts=[
+                ContextWorld(context_id="c0", weight=0.6, actions=dict(truth)),
+                ContextWorld(context_id="c1", weight=0.4, actions=dict(truth)),
+            ],
+            seed=6,
+            freetype_enabled=True,
+        )
+        served = run(world, MabPolicy(), Schedule(horizon=600), policy_seed=5).events
+        # 600 events a minute apart span five two-hour windows
+        policy = MabPolicy(window_seconds=2 * 3600)
+        reference: dict[str, mab.ContextBank] = {}
+        for start in range(0, len(served), 37):
+            batch = served[start : start + 37]
+            policy.aggregate(batch, batch[-1].ts + 1)
+            for event in batch:
+                context_id = event.context.context_id
+                bank = reference.setdefault(
+                    context_id, mab.ContextBank(context_id=context_id, window_seconds=2 * 3600)
+                )
+                mab.update(bank, event)
+            assert policy.banks.keys() == reference.keys()
+            for context_id, want in reference.items():
+                got = policy.banks[context_id]
+                for family in ("click_stats", "survey_stats"):
+                    got_arms, want_arms = getattr(got, family), getattr(want, family)
+                    assert got_arms.keys() == want_arms.keys()
+                    for action_id, arm in want_arms.items():
+                        assert list(got_arms[action_id].entries) == list(arm.entries)
+                        assert got_arms[action_id].successes == arm.successes
+                        assert got_arms[action_id].trials == arm.trials
+
     def test_nlb_policy_closes_the_loop_and_fits_a_head(self):
         world = self.learnable_world()
         table = FeatureTable(

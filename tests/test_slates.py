@@ -1,5 +1,6 @@
 """Assembly truncation, the direct trigger, and the safety gate."""
 
+import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
@@ -112,7 +113,7 @@ class TestSafeGate:
         decision = assemble(
             scored_list([("a", 0.9), ("b", 0.8), ("null", 0.5)]), SlatePolicyConfig()
         )
-        gated = safe_gate(decision, self.baseline(), lambda a: 0.3)
+        gated = safe_gate(decision, self.baseline(), [0.3] * 3)
         assert gated.used_baseline is False
         assert gated.served is decision.served
 
@@ -120,7 +121,7 @@ class TestSafeGate:
         decision = assemble(
             scored_list([("a", 0.1), ("null", 0.05)]), SlatePolicyConfig()
         )
-        gated = safe_gate(decision, self.baseline(), lambda a: 0.4)
+        gated = safe_gate(decision, self.baseline(), [0.4] * 3)
         assert gated.used_baseline is True
         assert [a.action_id for a in gated.served.items] == ["base1", "base2", NULL_ACTION_ID]
         assert gated.served.scores == (0.4, 0.4, 0.4)
@@ -130,7 +131,7 @@ class TestSafeGate:
         decision = assemble(
             scored_list([("a", 0.4), ("null", 0.2)]), SlatePolicyConfig()
         )
-        gated = safe_gate(decision, self.baseline(), lambda a: 0.2)
+        gated = safe_gate(decision, self.baseline(), [0.2] * 3)
         assert gated.used_baseline is False
 
     def test_null_scores_count_on_both_sides(self):
@@ -139,25 +140,30 @@ class TestSafeGate:
             scored_list([("a", 0.5), ("null", 0.4)]), SlatePolicyConfig()
         )
         baseline = Slate(items=[make_action("base1"), null_item()], scores=[0.0, 0.0])
-        scores = {"base1": 0.5, NULL_ACTION_ID: 0.5}
-        gated = safe_gate(decision, baseline, lambda a: scores[a.action_id])
+        gated = safe_gate(decision, baseline, np.array([0.5, 0.5]))
         assert gated.used_baseline is True
+        assert gated.served.scores == (0.5, 0.5)
 
     def test_audit_records_both_values_and_the_outcome(self):
         audit = []
         decision = assemble(
             scored_list([("a", 0.1), ("null", 0.05)]), SlatePolicyConfig()
         )
-        safe_gate(decision, self.baseline(), lambda a: 0.4, audit=audit)
+        safe_gate(decision, self.baseline(), [0.4] * 3, audit=audit)
         decision2 = assemble(
             scored_list([("a", 0.9), ("null", 0.8)]), SlatePolicyConfig()
         )
-        safe_gate(decision2, self.baseline(), lambda a: 0.1, audit=audit)
+        safe_gate(decision2, self.baseline(), [0.1] * 3, audit=audit)
         assert len(audit) == 2
         assert_allclose(audit[0][0], 0.15)
         assert_allclose(audit[0][1], 1.2)
         assert audit[0][2] is True
         assert audit[1][2] is False
+
+    def test_one_score_per_baseline_item_is_required(self):
+        decision = assemble(scored_list([("a", 0.1), ("null", 0.05)]), SlatePolicyConfig())
+        with pytest.raises(SlateError):
+            safe_gate(decision, self.baseline(), [0.4, 0.4])
 
 
 class TestSlateValue:
