@@ -56,7 +56,6 @@ from .sim import (
     ContextWorld,
     MabPolicy,
     NlbPolicy,
-    OraclePolicy,
     RunResult,
     Schedule,
     UniformRandomPolicy,
@@ -92,7 +91,6 @@ __all__ = [
     "NlbPolicy",
     "NoDataError",
     "OpeResult",
-    "OraclePolicy",
     "PromotionThresholds",
     "RewardMode",
     "RewardSpec",

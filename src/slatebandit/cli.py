@@ -132,6 +132,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     log_tmp = os.path.join(args.out, "events.jsonl.tmp")
     if os.path.exists(log_tmp):
         os.remove(log_tmp)
+    # run holds the log open only while it serves, so the rename sees a closed file
     result = sim.run(world, policy, schedule, policy_seed=args.seed, log=EventLog(log_tmp))
     os.replace(log_tmp, os.path.join(args.out, "events.jsonl"))
     sim.write_metrics_csv(result.windows, os.path.join(args.out, "metrics.csv"))

@@ -68,7 +68,10 @@ class Context:
         features = d.get("features")
         if features is not None and not isinstance(features, dict):
             raise ValidationError("context features must be a JSON object")
-        return cls(context_id=d["id"], features=dict(features or {}), query=d.get("query"))
+        query = d.get("query")
+        if query is not None and type(query) is not str:
+            raise ValidationError("context query must be a JSON string or null")
+        return cls(context_id=d["id"], features=dict(features or {}), query=query)
 
 
 @dataclass(frozen=True)
@@ -89,21 +92,15 @@ class Action:
             raise ValidationError("reserved null id used by a content action")
 
     def to_dict(self) -> dict:
-        return {
-            "id": self.action_id,
-            "title": self.title,
-            "null": self.is_null_item,
-            "features": dict(self.features),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Action":
-        return cls(
-            action_id=d["id"],
-            title=d.get("title", ""),
-            is_null_item=bool(d.get("null", False)),
-            features=dict(d.get("features") or {}),
-        )
+        """The logged (v2) item: the id, plus the title and features only
+        where they differ from what decoding restores. The null flag follows
+        from the id and is never written."""
+        record: dict = {"id": self.action_id}
+        if self.title != (NULL_ACTION_TITLE if self.is_null_item else ""):
+            record["title"] = self.title
+        if self.features:
+            record["features"] = dict(self.features)
+        return record
 
 
 def null_item() -> Action:
@@ -311,44 +308,52 @@ def atomic_write(path: str | os.PathLike, text: str) -> None:
         raise
 
 
+LOG_VERSION = 2
+
+
 def encode_event(event: LoggedEvent) -> str:
-    """One JSON line. Field names are fixed: ts, ctx, slate, click, survey,
-    escalation, propensity, posteriors, policy."""
-    posteriors = None
-    if event.posteriors is not None:
-        posteriors = {k: [float(v[0]), float(v[1])] for k, v in sorted(event.posteriors.items())}
+    """One JSON line in the v2 format: v, ts, ctx, slate, click, survey,
+    escalation and policy always; propensity and posteriors only when set.
+    Slate items leave out what decoding restores (see ``Action.to_dict``)."""
     record = {
+        "v": LOG_VERSION,
         "ts": event.ts,
         "ctx": event.context.to_dict(),
         "slate": event.slate.to_dict(),
         "click": event.feedback.click,
         "survey": event.feedback.survey.value,
         "escalation": event.feedback.escalation,
-        "propensity": event.propensity,
-        "posteriors": posteriors,
         "policy": event.policy_tag,
     }
+    if event.propensity is not None:
+        record["propensity"] = event.propensity
+    if event.posteriors is not None:
+        record["posteriors"] = {
+            k: [float(v[0]), float(v[1])] for k, v in sorted(event.posteriors.items())
+        }
     return json.dumps(record, sort_keys=True, separators=(",", ":"))
 
 
-def _decode_action(d, interned: dict | None) -> Action:
+def _decode_action(d, interned: dict | None, v2: bool) -> Action:
     if not isinstance(d, dict):
         raise ValidationError("slate item must be a JSON object")
     features = d.get("features")
     if features is not None and not isinstance(features, dict):
         raise ValidationError("item features must be a JSON object")
-    if interned is None:
-        return Action.from_dict(d)
-    action_id, title = d["id"], d.get("title", "")
+    action_id = d["id"]
+    # v1 writes every field; v2 leaves out the null flag (the id fixes it)
+    # and a title equal to its default
+    is_null = bool(d.get("null", v2 and action_id == NULL_ACTION_ID))
+    title = d.get("title", NULL_ACTION_TITLE if v2 and is_null else "")
     # Only string ids and titles are looked up (a list id is unhashable) and
     # only string-valued features are stored, so ``==`` below cannot take
     # 1 for True and hand back an Action that re-encodes to other bytes.
-    if type(action_id) is not str or type(title) is not str:
-        return Action.from_dict(d)
-    key = (action_id, title, bool(d.get("null", False)))
+    if interned is None or type(action_id) is not str or type(title) is not str:
+        return Action(action_id, title, is_null, dict(features or {}))
+    key = (action_id, title, is_null)
     action = interned.get(key)
     if action is None or action.features != (features or {}):
-        action = Action.from_dict(d)
+        action = Action(action_id, title, is_null, dict(features or {}))
         if all(type(v) is str for v in action.features.values()):
             interned[key] = action
     return action
@@ -361,9 +366,17 @@ def _field(record: dict, name: str, kind: type, what: str):
     return value
 
 
+# the types json.loads gives a JSON number; bool subclasses int, but compared
+# by exact type ``true`` is no number
+_NUMBER_TYPES = frozenset((int, float))
+
+
 def decode_event(line: str, *, interned: dict | None = None) -> LoggedEvent:
     """The event one log line holds; ValidationError when the line is not a
     well-formed event.
+
+    Reads v2 lines (``"v":2``) and v1 lines (no ``"v"``, every field
+    written); any other version is an error.
 
     ``interned`` is a table that one reading pass keeps across lines (as
     ``EventLog.replay`` does). With it, slate items equal in id, title, null
@@ -378,6 +391,9 @@ def decode_event(line: str, *, interned: dict | None = None) -> LoggedEvent:
         raise ValidationError(f"malformed event line: {exc}") from exc
     if not isinstance(record, dict):
         raise ValidationError("event line must hold a JSON object")
+    v2 = "v" in record
+    if v2 and (type(record["v"]) is not int or record["v"] != LOG_VERSION):
+        raise ValidationError(f"unknown event log version {record['v']!r}")
     try:
         survey = Survey(record["survey"])
     except (KeyError, ValueError) as exc:
@@ -385,6 +401,12 @@ def decode_event(line: str, *, interned: dict | None = None) -> LoggedEvent:
     escalation = record.get("escalation", False)
     if type(escalation) is not bool:
         raise ValidationError("event field 'escalation' must be a JSON boolean")
+    propensity = record.get("propensity")
+    if propensity is not None and type(propensity) not in _NUMBER_TYPES:
+        raise ValidationError("event field 'propensity' must be a JSON number or null")
+    policy_tag = record.get("policy", "")
+    if type(policy_tag) is not str:
+        raise ValidationError("event field 'policy' must be a JSON string")
     try:
         posteriors = record.get("posteriors")
         if posteriors is not None:
@@ -392,20 +414,21 @@ def decode_event(line: str, *, interned: dict | None = None) -> LoggedEvent:
             posteriors = {k: (float(v[0]), float(v[1])) for k, v in posteriors.items()}
         slate = _field(record, "slate", dict, "object")
         items = _field(slate, "items", list, "list")
+        scores = _field(slate, "scores", list, "list")
+        if not _NUMBER_TYPES.issuperset(map(type, scores)):
+            raise ValidationError("slate scores must be JSON numbers")
         return LoggedEvent(
             ts=record["ts"],
             context=Context.from_dict(_field(record, "ctx", dict, "object")),
-            slate=Slate(
-                items=[_decode_action(d, interned) for d in items], scores=slate["scores"]
-            ),
+            slate=Slate(items=[_decode_action(d, interned, v2) for d in items], scores=scores),
             feedback=Feedback(
                 click=record.get("click"),
                 survey=survey,
                 escalation=escalation,
             ),
-            propensity=record.get("propensity"),
+            propensity=propensity,
             posteriors=posteriors,
-            policy_tag=record.get("policy", ""),
+            policy_tag=policy_tag,
         )
     except KeyError as exc:
         raise ValidationError(f"event line missing field {exc}") from exc
@@ -418,17 +441,34 @@ def decode_event(line: str, *, interned: dict | None = None) -> LoggedEvent:
 class EventLog:
     """Append-only JSONL event log.
 
-    Appends flush on every write; replay yields events in append order so a
+    Each append is one write plus one flush. Inside ``with log:`` appends go
+    through one handle held open for the scope; outside one, each append
+    opens and closes the file. Replay yields events in append order so a
     reader that consumes the file in one pass sees each event exactly once.
     """
 
     def __init__(self, path: str | os.PathLike) -> None:
         self.path = os.fspath(path)
+        self._fh = None
+
+    def __enter__(self) -> "EventLog":
+        if self._fh is not None:
+            raise ValueError("event log is already open")
+        self._fh = open(self.path, "a", encoding="utf-8")
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        fh, self._fh = self._fh, None
+        fh.close()
 
     def append(self, event: LoggedEvent) -> None:
-        line = encode_event(event)
+        line = encode_event(event) + "\n"
+        if self._fh is not None:
+            self._fh.write(line)
+            self._fh.flush()
+            return
         with open(self.path, "a", encoding="utf-8") as fh:
-            fh.write(line + "\n")
+            fh.write(line)
             fh.flush()
 
     def replay(self) -> Iterator[LoggedEvent]:

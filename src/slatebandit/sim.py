@@ -14,6 +14,7 @@ sharp.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
@@ -385,27 +386,7 @@ class FixedSlatePolicy(BasePolicy):
         baseline = self.baselines.get(context.context_id)
         if baseline is None:
             raise ValidationError(f"no baseline slate for context {context.context_id!r}")
-        return slates.SlateDecision.serving(baseline)
-
-
-class OraclePolicy(BasePolicy):
-    """Always serve the context's truly best action alone (plus the null slot)."""
-
-    def __init__(self, world: WorldSpec, tag: str = "oracle") -> None:
-        self.world = world
-        self.tag = tag
-        self._config = slates.SlatePolicyConfig(max_length=2)
-
-    def decide(
-        self, context: Context, candidates: list[Action], rng: np.random.Generator
-    ) -> slates.SlateDecision:
-        ctx_world = self.world.context_by_id(context.context_id)
-        best_id = min(
-            ctx_world.pool_ids(), key=lambda a: (-ctx_world.actions[a].p_yes, a)
-        )
-        best = Action(action_id=best_id, title=ctx_world.actions[best_id].title)
-        scored = [(best, 1.0), (null_item(), 0.0)]
-        return slates.assemble(scored, self._config)
+        return slates.SlateDecision(served=baseline)
 
 
 class NlbPolicy(BasePolicy):
@@ -730,7 +711,9 @@ def run(
     its timestamp (jobs at time T consume events with ts < T; coincident
     boundaries run aggregation, then refit, then expansion). The metrics
     timeline has one row per aggregation window, including a final partial
-    window when the horizon does not land on a boundary.
+    window when the horizon does not land on a boundary. ``log``, when given,
+    is held open (``with log:``) while events are served, one append each,
+    and is closed when this returns.
     """
     policy_rng = np.random.default_rng(policy_seed)
     tables = serving_tables(world)
@@ -768,27 +751,28 @@ def run(
         window_regret.clear()
         window_start = t_end
 
-    for event_index in range(schedule.horizon):
-        now = world.start_ts + event_index * world.seconds_per_event
-        while True:
-            t = min(next_agg, next_refit, next_exp)
-            if t > now:
-                break
-            if next_agg == t:
-                flush_window(t)
-                next_agg += schedule.aggregation_seconds
-            if next_refit == t:
-                policy.refit(t)
-                next_refit += schedule.refit_seconds
-            if next_exp == t:
-                policy.expand_pools(t)
-                next_exp += schedule.expansion_seconds
-        event = step(world, policy, event_index, now, policy_rng, tables)
-        events.append(event)
-        window_events.append(event)
-        window_regret.append(regret_of(world, event, oracles))
-        if log is not None:
-            log.append(event)
+    with contextlib.nullcontext() if log is None else log:
+        for event_index in range(schedule.horizon):
+            now = world.start_ts + event_index * world.seconds_per_event
+            while True:
+                t = min(next_agg, next_refit, next_exp)
+                if t > now:
+                    break
+                if next_agg == t:
+                    flush_window(t)
+                    next_agg += schedule.aggregation_seconds
+                if next_refit == t:
+                    policy.refit(t)
+                    next_refit += schedule.refit_seconds
+                if next_exp == t:
+                    policy.expand_pools(t)
+                    next_exp += schedule.expansion_seconds
+            event = step(world, policy, event_index, now, policy_rng, tables)
+            events.append(event)
+            window_events.append(event)
+            window_regret.append(regret_of(world, event, oracles))
+            if log is not None:
+                log.append(event)
     if window_events:
         flush_window(world.start_ts + schedule.horizon * world.seconds_per_event)
     return RunResult(windows=windows, events=events, world=world, policy=policy)

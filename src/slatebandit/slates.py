@@ -37,29 +37,17 @@ class SlatePolicyConfig:
 
 @dataclass
 class SlateDecision:
-    """A served slate plus everything needed to reproduce and audit it.
+    """A served slate plus what the policy hands the logger.
 
     ``propensities`` (action id -> probability of ranking first) and
     ``posteriors`` (action id -> (successes, trials) at decision time) are
-    what the policy hands the logger, when it has them.
+    set when the policy has them.
     """
 
     served: Slate
-    scored_all: tuple[tuple[Action, float], ...]
-    null_position: int
     used_baseline: bool = False
     propensities: dict[str, float] | None = None
     posteriors: dict[str, tuple[float, float]] | None = None
-
-    @classmethod
-    def serving(cls, slate: Slate) -> "SlateDecision":
-        """A decision that serves ``slate`` as it stands, scored in its own order."""
-        pos = slate.null_position
-        return cls(
-            served=slate,
-            scored_all=tuple(zip(slate.items, slate.scores)),
-            null_position=len(slate.items) if pos is None else pos,
-        )
 
 
 def assemble(
@@ -73,7 +61,6 @@ def assemble(
     When direct triggering is enabled, a top action leading the second-ranked
     null item by at least the margin is served alone.
     """
-    scored = tuple((a, float(s)) for a, s in scored)
     null_positions = [i for i, (a, _) in enumerate(scored) if a.is_null_item]
     if not null_positions:
         raise SlateError("scored candidates are missing the null item")
@@ -84,18 +71,15 @@ def assemble(
     if (
         config.allow_direct_trigger
         and null_position == 1
-        and len(scored) >= 2
-        and scored[0][1] - scored[1][1] >= config.direct_trigger_margin
+        and float(scored[0][1]) - float(scored[1][1]) >= config.direct_trigger_margin
     ):
         action, score = scored[0]
-        served = Slate(items=[action], scores=[score])
-        return SlateDecision(served=served, scored_all=scored, null_position=null_position)
+        return SlateDecision(served=Slate(items=[action], scores=[score]))
 
     content = scored[:null_position][: config.max_length - 1]
     items = [a for a, _ in content] + [scored[null_position][0]]
     scores = [s for _, s in content] + [scored[null_position][1]]
-    served = Slate(items=items, scores=scores)
-    return SlateDecision(served=served, scored_all=scored, null_position=null_position)
+    return SlateDecision(served=Slate(items=items, scores=scores))
 
 
 def slate_value(slate: Slate) -> float:
@@ -114,10 +98,9 @@ def safe_gate(
     ``baseline_scores`` holds one score per baseline item, in item order,
     drawn through the same sampling path the sampled slate went through (so
     stat-less baseline items draw from the uniform prior); the sums are
-    compared. Ties go to the sampled slate. When the baseline wins, the
-    decision's scored_all is the baseline in its served order so the decision
-    stays reproducible. When ``audit`` is given, (sampled value, baseline
-    value, used_baseline) is appended per call.
+    compared. Ties go to the sampled slate. When the baseline wins, it is
+    served with those scores. When ``audit`` is given, (sampled value,
+    baseline value, used_baseline) is appended per call.
     """
     baseline_scores = [float(s) for s in baseline_scores]
     if len(baseline_scores) != len(baseline.items):
@@ -128,6 +111,6 @@ def safe_gate(
         audit.append((sampled_value, baseline_value, sampled_value < baseline_value))
     if sampled_value >= baseline_value:
         return replace(sampled, used_baseline=False)
-    decision = SlateDecision.serving(Slate(items=baseline.items, scores=baseline_scores))
-    decision.used_baseline = True
-    return decision
+    return SlateDecision(
+        served=Slate(items=baseline.items, scores=baseline_scores), used_baseline=True
+    )

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import json
+
 from slatebandit.core import (
+    NULL_ACTION_TITLE,
     Action,
     Context,
     Feedback,
@@ -44,3 +47,54 @@ def make_event(
         propensity=propensity,
         policy_tag="test",
     )
+
+
+def encode_v1(event: LoggedEvent) -> str:
+    """The v1 line for ``event``: every field written, as logs were before
+    ``"v":2``. Kept as the reference that v1 decoding is checked against."""
+    posteriors = None
+    if event.posteriors is not None:
+        posteriors = {k: [float(v[0]), float(v[1])] for k, v in sorted(event.posteriors.items())}
+    record = {
+        "ts": event.ts,
+        "ctx": {
+            "id": event.context.context_id,
+            "features": dict(event.context.features),
+            "query": event.context.query,
+        },
+        "slate": {
+            "items": [
+                {"id": a.action_id, "title": a.title, "null": a.is_null_item,
+                 "features": dict(a.features)}
+                for a in event.slate.items
+            ],
+            "scores": list(event.slate.scores),
+        },
+        "click": event.feedback.click,
+        "survey": event.feedback.survey.value,
+        "escalation": event.feedback.escalation,
+        "propensity": event.propensity,
+        "posteriors": posteriors,
+        "policy": event.policy_tag,
+    }
+    return json.dumps(record, sort_keys=True, separators=(",", ":"))
+
+
+def encode_v2(event: LoggedEvent) -> str:
+    """The v2 line for ``event``, built field by field from the format's
+    rule: a field is left out exactly when it holds the value decoding
+    restores (the item null flag always; empty item features; the default
+    title, NULL_ACTION_TITLE for the null item and "" for content; a null
+    propensity; null posteriors)."""
+    record = json.loads(encode_v1(event))
+    record["v"] = 2
+    for item in record["slate"]["items"]:
+        if item["title"] == (NULL_ACTION_TITLE if item["null"] else ""):
+            del item["title"]
+        if not item["features"]:
+            del item["features"]
+        del item["null"]
+    for name in ("propensity", "posteriors"):
+        if record[name] is None:
+            del record[name]
+    return json.dumps(record, sort_keys=True, separators=(",", ":"))

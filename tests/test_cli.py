@@ -406,8 +406,17 @@ class TestExitCodes:
             lambda line: "[1,2]",
             lambda line: line.replace('"slate":{', '"slate":5,"was":{', 1),
             lambda line: re.sub(r'"escalation":(true|false)', r'"escalation":"\1"', line),
+            lambda line: line.replace('"ts":', '"propensity":true,"ts":', 1),
+            lambda line: re.sub(r'"scores":\[[^,\]]*', '"scores":[true', line),
+            lambda line: re.sub(r'"policy":"[^"]*"', '"policy":5', line),
+            lambda line: re.sub(r'"query":(null|"[^"]*")', '"query":7', line),
+            lambda line: line.replace('"v":2}', '"v":3}'),
         ],
-        ids=["line-not-an-object", "slate-not-an-object", "escalation-not-a-boolean"],
+        ids=[
+            "line-not-an-object", "slate-not-an-object", "escalation-not-a-boolean",
+            "propensity-a-boolean", "score-a-boolean", "policy-a-number", "query-a-number",
+            "unknown-version",
+        ],
     )
     def test_malformed_log_line_is_a_runtime_error(self, tmp_path, edit):
         world = write_world(tmp_path / "world.json")
@@ -416,10 +425,17 @@ class TestExitCodes:
                 "--horizon", "20", "--policy", "uniform"]
         assert main(argv) == EXIT_OK
         lines = (out / "events.jsonl").read_text().splitlines()
-        lines[7] = edit(lines[7])
+        edited = edit(lines[7])
+        assert edited != lines[7]
+        lines[7] = edited
         log = tmp_path / "bad.jsonl"
         log.write_text("\n".join(lines) + "\n")
         assert main(["report", "--log", str(log)]) == EXIT_RUNTIME
+        target = tmp_path / "target.json"
+        target.write_text(json.dumps({"c0": {"a_good": 1.0}}))
+        argv = ["evaluate", "--log", str(log), "--target", str(target),
+                "--out", str(tmp_path / "eval.json")]
+        assert main(argv) == EXIT_RUNTIME
 
     def test_evaluate_without_propensities_is_a_runtime_error(self, tmp_path):
         # the discrete policy logs posteriors, not propensities, so its raw

@@ -6,9 +6,10 @@ import os
 import numpy as np
 import pytest
 
-from conftest import make_action, make_event, make_slate
+from conftest import encode_v1, encode_v2, make_action, make_event, make_slate
 from slatebandit.core import (
     NULL_ACTION_ID,
+    NULL_ACTION_TITLE,
     Action,
     Context,
     EventLog,
@@ -194,20 +195,19 @@ class TestEventSerialization:
         assert decode_event(encode_event(event)) == event
 
     def test_fixed_field_names(self):
-        import json
-
-        record = json.loads(encode_event(make_event(click=0, survey=Survey.NO)))
-        assert set(record) == {
-            "ts",
-            "ctx",
-            "slate",
-            "click",
-            "survey",
-            "escalation",
-            "propensity",
-            "posteriors",
-            "policy",
-        }
+        required = {"v", "ts", "ctx", "slate", "click", "survey", "escalation", "policy"}
+        optional = {"propensity", "posteriors"}
+        bare = make_event(click=0, survey=Survey.NO)
+        assert set(json.loads(encode_event(bare))) == required
+        full = LoggedEvent(
+            ts=bare.ts,
+            context=bare.context,
+            slate=bare.slate,
+            feedback=bare.feedback,
+            propensity=0.5,
+            posteriors={a.action_id: (1.0, 2.0) for a in bare.slate.items},
+        )
+        assert set(json.loads(encode_event(full))) == required | optional
 
     def test_float_fields_round_trip_exactly(self):
         score = 0.1 + 0.2  # not representable prettily
@@ -232,6 +232,105 @@ class TestEventSerialization:
         line = encode_event(make_event()).replace('"skipped"', '"maybe"')
         with pytest.raises(ValidationError):
             decode_event(line)
+
+
+# written by the v1 encoder, which wrote every field and no version
+V1_LINES = [
+    '{"click":1,"ctx":{"features":{"os":"w10"},"id":"printers","query":"jam"},'
+    '"escalation":true,"policy":"mab","posteriors":{"__null__":[1.0,2.0],"a1":[3.0,10.0],'
+    '"a2":[0.0,0.0]},"propensity":0.25,"slate":{"items":[{"features":{"kind":"faq"},'
+    '"id":"a1","null":false,"title":"Clear a jam"},{"features":{},"id":"a2","null":false,'
+    '"title":""},{"features":{},"id":"__null__","null":true,"title":"None of the above"}],'
+    '"scores":[0.75,0.5,0.25]},"survey":"no","ts":7}',
+    '{"click":null,"ctx":{"features":{},"id":"printers","query":null},"escalation":false,'
+    '"policy":"","posteriors":null,"propensity":null,"slate":{"items":[{"features":{},'
+    '"id":"a2","null":false,"title":"Drivers"},{"features":{},"id":"__null__","null":true,'
+    '"title":"None of the above"}],"scores":[0.5,0.25]},"survey":"skipped","ts":8}',
+]
+V1_EVENTS = [
+    LoggedEvent(
+        ts=7,
+        context=Context("printers", features={"os": "w10"}, query="jam"),
+        slate=Slate(
+            items=[
+                Action("a1", "Clear a jam", features={"kind": "faq"}), Action("a2"), null_item()
+            ],
+            scores=[0.75, 0.5, 0.25],
+        ),
+        feedback=Feedback(click=1, survey=Survey.NO, escalation=True),
+        propensity=0.25,
+        posteriors={"a1": (3.0, 10.0), "a2": (0.0, 0.0), NULL_ACTION_ID: (1.0, 2.0)},
+        policy_tag="mab",
+    ),
+    LoggedEvent(
+        ts=8,
+        context=Context("printers"),
+        slate=Slate(items=[Action("a2", "Drivers"), null_item()], scores=[0.5, 0.25]),
+        feedback=Feedback(),
+    ),
+]
+
+
+def one_item_event(item: Action, **fields) -> LoggedEvent:
+    slate = Slate(items=[item, null_item()], scores=fields.pop("scores", [0.5, 0.25]))
+    return LoggedEvent(ts=3, context=fields.pop("context", Context("c")), slate=slate,
+                       feedback=Feedback(click=0), **fields)
+
+
+class TestLogFormat:
+    def test_v1_lines_read_as_written_and_reencode_as_v2(self):
+        for line, event in zip(V1_LINES, V1_EVENTS):
+            assert encode_v1(event) == line
+            assert decode_event(line) == event
+            assert encode_event(decode_event(line)) == encode_v2(event)
+            assert decode_event(encode_event(event)) == event
+
+    def test_v2_leaves_out_what_decoding_restores(self):
+        assert encode_event(V1_EVENTS[1]) == (
+            '{"click":null,"ctx":{"features":{},"id":"printers","query":null},'
+            '"escalation":false,"policy":"","slate":{"items":[{"id":"a2","title":"Drivers"},'
+            '{"id":"__null__"}],"scores":[0.5,0.25]},"survey":"skipped","ts":8,"v":2}'
+        )
+
+    def test_titles_other_than_the_default_are_written(self):
+        untitled_null = Action(NULL_ACTION_ID, "", is_null_item=True)
+        slate = Slate(items=[Action("a1", NULL_ACTION_TITLE), untitled_null], scores=[0.5, 0.25])
+        event = LoggedEvent(ts=0, context=Context("c"), slate=slate, feedback=Feedback())
+        line = encode_event(event)
+        assert json.loads(line)["slate"]["items"] == [
+            {"id": "a1", "title": NULL_ACTION_TITLE},
+            {"id": NULL_ACTION_ID, "title": ""},
+        ]
+        assert decode_event(line) == event
+        assert decode_event(encode_v1(event)) == event
+
+    @pytest.mark.parametrize(
+        "event",
+        [
+            one_item_event(Action("a1", "Réinitialiser — 密码 ✓")),
+            one_item_event(
+                Action("a1", "Guide", features={"n": 1, "flag": True, "x": 1.5, "none": None}),
+                context=Context("c", features={"tier": 2}, query="¿ayuda?"),
+            ),
+            one_item_event(Action("a1"), scores=[float("nan"), float("-inf")]),
+            one_item_event(Action("a1"), propensity=np.float64(1 / 3)),
+            V1_EVENTS[0],
+        ],
+        ids=["unicode-title", "non-string-features", "nan-scores", "numpy-propensity", "full"],
+    )
+    def test_encoding_matches_the_reference_and_round_trips(self, event):
+        line = encode_event(event)
+        assert line == encode_v2(event)
+        assert encode_event(decode_event(line)) == line
+        assert encode_event(decode_event(encode_v1(event))) == line
+        for table in (None, {}):
+            assert encode_event(decode_event(line, interned=table)) == line
+
+    def test_a_v2_null_flag_must_agree_with_the_id(self):
+        record = json.loads(encode_event(V1_EVENTS[1]))
+        record["slate"]["items"][0]["null"] = True
+        with pytest.raises(ValidationError):
+            decode_event(json.dumps(record))
 
 
 class TestEventLog:
@@ -261,6 +360,28 @@ class TestEventLog:
             log.append(event)
         assert path.read_text() == "".join(encode_event(e) + "\n" for e in events)
         assert log.read_all() == events
+
+    def test_held_handle_writes_each_event_through_to_the_file(self, tmp_path):
+        path = tmp_path / "events.jsonl"
+        events = [make_event(ts=i) for i in range(4)]
+        with EventLog(path) as log:
+            for i, event in enumerate(events):
+                log.append(event)
+                assert path.read_text() == "".join(encode_event(e) + "\n" for e in events[: i + 1])
+        log.append(make_event(ts=4))
+        assert [e.ts for e in log.read_all()] == [0, 1, 2, 3, 4]
+
+    def test_scope_closes_on_error_and_is_not_reentrant(self, tmp_path):
+        log = EventLog(tmp_path / "events.jsonl")
+        with pytest.raises(KeyError):
+            with log:
+                log.append(make_event(ts=0))
+                raise KeyError("boom")
+        with log:
+            with pytest.raises(ValueError, match="already open"):
+                log.__enter__()
+            log.append(make_event(ts=1))
+        assert [e.ts for e in log.read_all()] == [0, 1]
 
     def test_replay_shares_one_action_per_distinct_item(self, tmp_path):
         log = EventLog(tmp_path / "events.jsonl")
@@ -335,10 +456,21 @@ class TestDecodeInterning:
             lambda r: r["ctx"].__setitem__("features", [["channel", "web"]]),
             lambda r: r.__setitem__("escalation", "false"),
             lambda r: r.__setitem__("escalation", 0),
+            lambda r: r.__setitem__("propensity", True),
+            lambda r: r.__setitem__("propensity", "0.5"),
+            lambda r: r["slate"].__setitem__("scores", [True, 0.1]),
+            lambda r: r.__setitem__("policy", 5),
+            lambda r: r["ctx"].__setitem__("query", 7),
+            lambda r: r.__setitem__("v", 3),
+            lambda r: r.__setitem__("v", 1),
+            lambda r: r.__setitem__("v", "2"),
+            lambda r: r.__setitem__("v", True),
         ],
         ids=[
             "ctx", "slate", "items", "item", "features", "id", "scores", "posteriors",
-            "ctx-features", "escalation-string", "escalation-number",
+            "ctx-features", "escalation-string", "escalation-number", "propensity-boolean",
+            "propensity-string", "score-boolean", "policy-number", "query-number",
+            "version-3", "version-1", "version-string", "version-boolean",
         ],
     )
     def test_malformed_shapes_raise_validation_error(self, edit):

@@ -5,8 +5,10 @@ cannot see a change that moves the RNG stream or the arithmetic. These
 digests were recorded once and must not move when the code is refactored;
 a change that moves them on purpose has to say why and pin new values.
 
-Every run's event log also goes through ``check_decode_oracle``: an interned
-read of the whole log must equal a fresh decode of each line.
+Every run's event log also goes through ``check_log``: an interned read of
+the whole log must equal a fresh decode of each line and the events the run
+served, each line must be the reference v2 encoding of its event, and the
+event's v1 line must decode to the same event and re-encode to the v2 line.
 
 The runs are small (a few hundred to a thousand events each) and cover the
 CLI ``simulate`` outputs for the discrete and uniform policies with free-text
@@ -21,7 +23,8 @@ import json
 import numpy as np
 import pytest
 
-from slatebandit import mab
+from conftest import encode_v1, encode_v2
+from slatebandit import mab, sim
 from slatebandit.cli import EXIT_OK, main
 from slatebandit.core import (
     Action,
@@ -101,7 +104,7 @@ WORLD = {
 # name -> SHA-256 of the artifact's bytes
 PINNED = {
     "cli_mab": {
-        "events.jsonl": "5dd710dc2c534744f38d471fa32369ccc81161f60d2a556b44af94024878f02c",
+        "events.jsonl": "9563df350ece8f3f851e118859b518b65a5103c25084c0f328a0c30f6e3e3f4a",
         "metrics.csv": "d580f111d7ceb37ca56d43701123488627faded072f2fd1a5274f7adccee7ee4",
         "summary.json": "7e45b1733840467722fca8cac8de8c8e4daba352331e5ddf1cd7deb996cf8f9c",
         "banks/account.json": "4e259814082c876cd6f6435ab64ad5f118e9767827caeae9bffa8bf29bd562d9",
@@ -109,27 +112,27 @@ PINNED = {
         "banks/delivery.json": "839d8452aa98c67fe47c267b0e39b9c2ae9e39b5e9874677cf3a669e0765ee7e",
     },
     "cli_uniform": {
-        "events.jsonl": "3c8b7034f876f8f8100f156b4c2d25dadff6a437df8c00db5888f56c84d68eba",
+        "events.jsonl": "c43c74507921edaa1203f7ffe08d61f8dad4ac09ccaf353d77782e446aefa09b",
         "metrics.csv": "bedcf0d8f016135a1861f4c3403c6e03b88c8cfb7e76090314c5343ee4d244b0",
         "summary.json": "fe77e78afdb5342cc367aa597529a40a1e99771b7cb32d223cd0a57715c70f23",
     },
     "mab_gate_expansion": {
-        "events": "372147aa497e5c058cfd195a148e58f6b4cd2c1c5f954c99e42ac0570773b413",
+        "events": "cd25951a4b1ddc1842566730be134dc7a759afc0f9686f0df6693f874c3a4641",
         "metrics.csv": "f0ab9d355a4fbe64aadbf276cab539807ef6c0e437d8cf02498baa90d44fe9e0",
         "banks": "de50fb25673eadf70f705375b1b8e35e2047b1cf338545b585543dae4e23a0ff",
         "expansion_reports": "387ae9fdec36a934d18eec73c6419343e1ddc5b1cedf4157852f64d603793a07",
     },
     "nlb_ts": {
-        "events": "00867e160c7bfb02e6b70a01033f30715781f688f8c48a0aeaddb387cee91702",
+        "events": "f7a1be10521b14a1e0cf796bc434c97daad37f0943838f2cc3c4d8f3a30c6eae",
         "metrics.csv": "1000051a8983cac32b9bc6cb3e5867f6c87615a36807e5ffc55f28697a7d20ff",
     },
     "cli_learned_features": {
         "fmap.json": "6ae6e8035f2b78fd550c68cacca215a638b9976495f147f56de5e0c3c9c7ae49",
         "head.json": "5f065b8f9ced3b46a9b326064270aacbf41a60e8865fa68d17fd695052492ad7",
-        "events.jsonl": "9f83b5aabac1299d10f40fa1ea603bc407d1865ec6dff4150da3f48eccf163c7",
+        "events.jsonl": "cd020ad139dedadccf873eae8e7aadb3dc645321676006751ce598c204520de5",
     },
     "nlb_ews": {
-        "events": "8efeee3159d03fdd15b31cafb7a98aa7d263e8dc2ab812a888a1a96c5636eef5",
+        "events": "1d3e6dd69fd7d423d5e55c901b924f0b77f3f30c379022f9b44925948872d90e",
         "metrics.csv": "f4d077cacb61dd7d4b30e2bd14eef88b66863d209377ea366b28a2e96bf7ba69",
     },
 }
@@ -143,16 +146,37 @@ def world_spec() -> WorldSpec:
     return WorldSpec.from_dict(WORLD)
 
 
-def check_decode_oracle(path) -> None:
-    """Reading the log back in one interned pass gives, event for event, what
-    decoding each line on its own gives, and re-encodes to the same bytes."""
+def check_log(path, served) -> None:
+    """The log at ``path`` holds the ``served`` events losslessly, in v2, and
+    their v1 lines read back as the same events."""
     text = path.read_text(encoding="utf-8")
+    lines = text.splitlines()
     replayed = EventLog(path).read_all()
-    assert replayed == [decode_event(line) for line in text.splitlines()]
+    assert replayed == [decode_event(line) for line in lines] == served
     assert "".join(encode_event(e) + "\n" for e in replayed) == text
+    assert lines == [encode_v2(e) for e in served]
+    for event, line in zip(served, lines):
+        from_v1 = decode_event(encode_v1(event))
+        assert from_v1 == decode_event(line)
+        assert encode_event(from_v1) == line
 
 
-def cli_digests(tmp_path, policy: str, extra: list[str]) -> dict[str, str]:
+@pytest.fixture
+def served_runs(monkeypatch):
+    """The events of every ``sim.run`` the CLI makes, in call order."""
+    runs = []
+    real_run = sim.run
+
+    def recording_run(*args, **kwargs):
+        result = real_run(*args, **kwargs)
+        runs.append(result.events)
+        return result
+
+    monkeypatch.setattr(sim, "run", recording_run)
+    return runs
+
+
+def cli_digests(tmp_path, served_runs, policy: str, extra: list[str]) -> dict[str, str]:
     world_path = tmp_path / "world.json"
     world_path.write_text(json.dumps(WORLD))
     out = tmp_path / policy
@@ -161,7 +185,7 @@ def cli_digests(tmp_path, policy: str, extra: list[str]) -> dict[str, str]:
         "--horizon", "600", "--policy", policy, "--aggregation-seconds", "3600",
     ]
     assert main(argv + extra) == EXIT_OK
-    check_decode_oracle(out / "events.jsonl")
+    check_log(out / "events.jsonl", served_runs[-1])
     return {
         p.relative_to(out).as_posix(): sha256(p.read_bytes())
         for p in sorted(out.rglob("*"))
@@ -172,19 +196,20 @@ def cli_digests(tmp_path, policy: str, extra: list[str]) -> dict[str, str]:
 def run_digests(tmp_path, result) -> dict[str, str]:
     events = "".join(encode_event(e) + "\n" for e in result.events)
     (tmp_path / "events.jsonl").write_text(events, encoding="utf-8")
-    check_decode_oracle(tmp_path / "events.jsonl")
+    check_log(tmp_path / "events.jsonl", result.events)
     csv_path = tmp_path / "metrics.csv"
     write_metrics_csv(result.windows, csv_path)
     return {"events": sha256(events.encode()), "metrics.csv": sha256(csv_path.read_bytes())}
 
 
-def test_cli_simulate_mab(tmp_path):
-    got = cli_digests(tmp_path, "mab", ["--direct-trigger", "--direct-trigger-margin", "0.3"])
+def test_cli_simulate_mab(tmp_path, served_runs):
+    extra = ["--direct-trigger", "--direct-trigger-margin", "0.3"]
+    got = cli_digests(tmp_path, served_runs, "mab", extra)
     assert got == PINNED["cli_mab"]
 
 
-def test_cli_simulate_uniform(tmp_path):
-    got = cli_digests(tmp_path, "uniform", ["--slate-length", "3"])
+def test_cli_simulate_uniform(tmp_path, served_runs):
+    got = cli_digests(tmp_path, served_runs, "uniform", ["--slate-length", "3"])
     assert got == PINNED["cli_uniform"]
 
 
@@ -247,7 +272,7 @@ def test_nlb_over_a_feature_table(tmp_path, sampler):
     assert run_digests(tmp_path, result) == PINNED[f"nlb_{sampler}"]
 
 
-def test_cli_learned_feature_pipeline(tmp_path):
+def test_cli_learned_feature_pipeline(tmp_path, served_runs):
     world_path = tmp_path / "world.json"
     world_path.write_text(json.dumps(WORLD))
     log = tmp_path / "uniform" / "events.jsonl"
@@ -265,8 +290,8 @@ def test_cli_learned_feature_pipeline(tmp_path):
          "--slate-length", "4", "--aggregation-seconds", "3600"],
     ):
         assert main(argv) == EXIT_OK
-    check_decode_oracle(log)
-    check_decode_oracle(served)
+    check_log(log, served_runs[0])
+    check_log(served, served_runs[1])
     got = {
         "fmap.json": sha256(fmap.read_bytes()),
         "head.json": sha256(head.read_bytes()),

@@ -31,8 +31,8 @@ from slatebandit.sim import (
     FeatureTable,
     FixedSlatePolicy,
     MabPolicy,
+    BasePolicy,
     NlbPolicy,
-    OraclePolicy,
     Schedule,
     UniformRandomPolicy,
     WorldSpec,
@@ -88,7 +88,24 @@ def slate_decision(action_ids, with_null=True, scores=None):
     if with_null:
         return assemble(scored, config)
     slate = Slate(items=items, scores=scores[: len(items)])
-    return SlateDecision(served=slate, scored_all=tuple(scored), null_position=len(items))
+    return SlateDecision(served=slate)
+
+
+class OraclePolicy(BasePolicy):
+    """Always serve the context's truly best action alone (plus the null slot)."""
+
+    def __init__(self, world: WorldSpec, tag: str = "oracle") -> None:
+        self.world = world
+        self.tag = tag
+        self._config = SlatePolicyConfig(max_length=2)
+
+    def decide(self, context, candidates, rng):
+        ctx_world = self.world.context_by_id(context.context_id)
+        best_id = min(
+            ctx_world.pool_ids(), key=lambda a: (-ctx_world.actions[a].p_yes, a)
+        )
+        best = Action(action_id=best_id, title=ctx_world.actions[best_id].title)
+        return assemble([(best, 1.0), (null_item(), 0.0)], self._config)
 
 
 class TestWorldValidation:
@@ -470,6 +487,22 @@ class TestRunLoop:
         assert [encode_event(e) for e in replayed] == [encode_event(e) for e in result.events]
         with open(tmp_path / "events.jsonl", encoding="utf-8") as fh:
             assert encode_event(decode_event(fh.readline())) == encode_event(result.events[0])
+
+    def test_run_opens_its_log_once_and_closes_it(self, tmp_path, monkeypatch):
+        from slatebandit import core
+
+        opened = []
+
+        def counting_open(*args, **kwargs):
+            fh = open(*args, **kwargs)
+            opened.append(fh)
+            return fh
+
+        monkeypatch.setattr(core, "open", counting_open, raising=False)
+        log = EventLog(tmp_path / "events.jsonl")
+        run(self.learnable_world(), UniformRandomPolicy(), Schedule(horizon=50), log=log)
+        assert len(opened) == 1 and opened[0].closed
+        assert len(log.read_all()) == 50
 
     def test_expansion_promotes_from_foreign_stats_during_the_run(self):
         from slatebandit.mab import ArmStats

@@ -33,7 +33,7 @@ class TestAssemble:
         decision = assemble(scored, SlatePolicyConfig(max_length=7))
         assert [a.action_id for a in decision.served.items] == ["a", "b", NULL_ACTION_ID]
         assert decision.served.scores == (0.9, 0.8, 0.5)
-        assert decision.null_position == 2
+        assert decision.served.null_position == 2
 
     def test_caps_content_below_max_length(self):
         scored = scored_list(
@@ -125,7 +125,7 @@ class TestSafeGate:
         assert gated.used_baseline is True
         assert [a.action_id for a in gated.served.items] == ["base1", "base2", NULL_ACTION_ID]
         assert gated.served.scores == (0.4, 0.4, 0.4)
-        assert gated.null_position == 2
+        assert gated.served.null_position == 2
 
     def test_tie_goes_to_the_sampled_slate(self):
         decision = assemble(
