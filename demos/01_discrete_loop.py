@@ -7,6 +7,7 @@ context's bank to show where the posteriors ended relative to the truth.
 
 import numpy as np
 
+from slatebandit.core import LogColumns
 from slatebandit.evaluation import prr_hat
 from slatebandit.mab import click_weight
 from slatebandit.sim import (
@@ -68,9 +69,9 @@ def main() -> None:
         print(f"{learned.index:>6} {prr:>10} {uni:>11} "
               f"{learned.regret_mean:>16.3f} {learned.handled_share:>8.3f}")
 
-    final = prr_hat(learner.final_slice(0.1))
-    print(f"\nfinal-10% PRR: bandit {final:.3f}, "
-          f"uniform {prr_hat(floor.final_slice(0.1)):.3f}")
+    final = prr_hat(LogColumns.from_events(learner.final_slice(0.1)))
+    final_floor = prr_hat(LogColumns.from_events(floor.final_slice(0.1)))
+    print(f"\nfinal-10% PRR: bandit {final:.3f}, uniform {final_floor:.3f}")
 
     bank = policy.banks["login"]
     truth = world.context_by_id("login").actions

@@ -9,7 +9,7 @@ then let the head serve with weighted sampling in a closed loop.
 
 import numpy as np
 
-from slatebandit.core import RewardSpec, attributed_action, null_item, reward_of
+from slatebandit.core import LogColumns, RewardSpec, attributed_action, null_item, reward_of
 from slatebandit.features import FeaturizerSpec, HashingEmbedder, TrainConfig, train
 from slatebandit.linear import SufficientStats, absorb, bonus, fit, predict
 from slatebandit.sim import (
@@ -81,7 +81,7 @@ def main() -> None:
 
     featurizer = FeaturizerSpec(embedding=HashingEmbedder(dim=16, seed=3))
     feature_map = train(
-        logged.events,
+        LogColumns.from_events(logged.events),
         spec,
         featurizer,
         TrainConfig(hidden_sizes=(16, 8), learning_rate=0.03, epochs=40, seed=4),

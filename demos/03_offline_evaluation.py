@@ -13,7 +13,7 @@ import dataclasses
 
 import numpy as np
 
-from slatebandit.core import RewardSpec
+from slatebandit.core import LogColumns, RewardSpec
 from slatebandit.evaluation import (
     MissingPropensityError,
     PromotionThresholds,
@@ -57,7 +57,7 @@ def main() -> None:
 
     always_best = lambda context: {"reset_guide": 1.0}
     try:
-        snips(logged.events, always_best, spec)
+        snips(LogColumns.from_events(logged.events), always_best, spec)
     except MissingPropensityError as err:
         print(f"raw log is not scorable yet: {err}")
 
@@ -71,6 +71,7 @@ def main() -> None:
         clicked = event.clicked_action()
         propensity = probs.get(clicked.action_id) if clicked is not None else None
         events.append(dataclasses.replace(event, propensity=propensity))
+    repaired = LogColumns.from_events(events)
     print("propensities reconstructed from the logged posteriors\n")
 
     candidates = {
@@ -84,14 +85,14 @@ def main() -> None:
     print(f"{'candidate':>20} {'estimate':>9} {'truth':>7} {'ess':>7} "
           f"{'gate':>8}  reasons")
     for name, (target, p_yes) in candidates.items():
-        result = snips(events, target, spec)
+        result = snips(repaired, target, spec)
         verdict = promotion_gate(result, thresholds)
         gate = "promote" if verdict.passed else "reject"
         reasons = "" if verdict.passed else "; ".join(verdict.reasons)
         print(f"{name:>20} {result.estimate:>+9.3f} {2 * p_yes - 1:>+7.1f} "
               f"{result.effective_sample_size:>7.1f} {gate:>8}  {reasons}")
 
-    baseline = snips(events, always_best, spec)
+    baseline = snips(repaired, always_best, spec)
     print(f"\nlogging policy mean over usable events: "
           f"{baseline.logging_policy_mean:+.3f} "
           f"(dragged below the best arm by its own exploration)")

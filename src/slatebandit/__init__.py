@@ -14,6 +14,7 @@ from .core import (
     Context,
     EventLog,
     Feedback,
+    LogColumns,
     LoggedEvent,
     NoDataError,
     RewardMode,
@@ -26,6 +27,7 @@ from .core import (
     decode_event,
     encode_event,
     null_item,
+    read_columns,
     reward_of,
 )
 from .evaluation import (
@@ -85,6 +87,7 @@ __all__ = [
     "GateVerdict",
     "HashingEmbedder",
     "LambdaConfig",
+    "LogColumns",
     "LoggedEvent",
     "MabPolicy",
     "MissingPropensityError",
@@ -125,6 +128,7 @@ __all__ = [
     "prob_better",
     "promotion_gate",
     "prr_hat",
+    "read_columns",
     "reward_of",
     "run",
     "safe_gate",

@@ -17,12 +17,15 @@ import sys
 from . import evaluation, expansion, features, linear, mab, sim
 from .core import (
     EventLog,
+    LogColumns,
     NoDataError,
     RewardMode,
     RewardSpec,
+    Survey,
     ValidationError,
     atomic_write,
     attributed_rewards,
+    read_columns,
 )
 from .slates import SlatePolicyConfig
 
@@ -74,10 +77,10 @@ def _reward_spec(args: argparse.Namespace, config: dict) -> RewardSpec:
     return RewardSpec(mode=mode, escalation_weight=weight)
 
 
-def _read_log(path: str):
+def _read_log(path: str) -> LogColumns:
     if not os.path.exists(path):
         raise ConfigError(f"event log not found: {path}")
-    return EventLog(path).read_all()
+    return read_columns(path)
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -141,11 +144,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         os.makedirs(bank_dir, exist_ok=True)
         for context_id in sorted(policy.banks):
             mab.save_bank(policy.banks[context_id], os.path.join(bank_dir, f"{context_id}.json"))
-    kpis = sim.kpi_counters(result.events)
+    columns = LogColumns.from_events(result.events)
+    kpis = sim.kpi_counters(columns)
     summary = {
-        "events": len(result.events),
-        "prr": evaluation.prr_hat(result.events),
-        "eas": evaluation.eas_hat(result.events) if result.events else 0.0,
+        "events": len(columns),
+        "prr": evaluation.prr_hat(columns),
+        "eas": evaluation.eas_hat(columns) if len(columns) else 0.0,
         "handled_share": kpis["handled_share"],
         "engagement": kpis["engagement"],
         "policy": policy.tag,
@@ -160,7 +164,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_train_repr(args: argparse.Namespace) -> int:
     config = _config_of(args)
-    events = _read_log(args.log)
+    columns = _read_log(args.log)
     reward_spec = _reward_spec(args, config)
     hidden = _pick(args, config, "hidden", "128,64")
     if isinstance(hidden, str):
@@ -181,10 +185,11 @@ def cmd_train_repr(args: argparse.Namespace) -> int:
     )
     context_vocabs: dict[str, set] = {}
     action_vocabs: dict[str, set] = {}
-    for event in events:
-        for name, value in event.context.features.items():
+    for context in columns.contexts:
+        for name, value in context.features.items():
             context_vocabs.setdefault(name, set()).add(value)
-        for action in event.slate.items:
+    for items in columns.slates:
+        for action in items:
             for name, value in action.features.items():
                 action_vocabs.setdefault(name, set()).add(value)
     featurizer = features.FeaturizerSpec(
@@ -192,10 +197,10 @@ def cmd_train_repr(args: argparse.Namespace) -> int:
         context_vocabs={k: sorted(v) for k, v in context_vocabs.items()},
         action_vocabs={k: sorted(v) for k, v in action_vocabs.items()},
     )
-    feature_map = features.train(events, reward_spec, featurizer, train_config)
+    feature_map = features.train(columns, reward_spec, featurizer, train_config)
     features.save_feature_map(feature_map, args.out)
     print(
-        f"trained feature map on {len(events)} events, "
+        f"trained feature map on {len(columns)} events, "
         f"final loss {feature_map.epoch_losses[-1]:.6f} -> {args.out}"
     )
     return EXIT_OK
@@ -203,17 +208,19 @@ def cmd_train_repr(args: argparse.Namespace) -> int:
 
 def cmd_fit_bandit(args: argparse.Namespace) -> int:
     config = _config_of(args)
-    events = _read_log(args.log)
+    columns = _read_log(args.log)
     feature_map = features.load_feature_map(args.features)
     reward_spec = _reward_spec(args, config)
     window = _pick(args, config, "window-seconds", None)
     stats = linear.SufficientStats(
         dim=feature_map.dim, window_seconds=None if window is None else int(window)
     )
-    ordered = sorted(events, key=lambda e: e.ts)
-    for _, event, action, reward in attributed_rewards(ordered, reward_spec):
-        phi = feature_map.transform(event.context, action)
-        linear.absorb(stats, phi, reward, event.ts)
+    ts = columns.ts
+    # rows in log order, stably sorted by ts: the order the online fold sees
+    rows = sorted(attributed_rewards(columns, reward_spec), key=lambda row: ts[row[0]])
+    for index, action, reward in rows:
+        phi = feature_map.transform(columns.contexts[index], action)
+        linear.absorb(stats, phi, reward, ts[index])
     head = linear.fit(
         stats, float(_pick(args, config, "pcr-threshold", linear.DEFAULT_PCR_THRESHOLD))
     )
@@ -242,7 +249,7 @@ def cmd_expand(args: argparse.Namespace) -> int:
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     config = _config_of(args)
-    events = _read_log(args.log)
+    columns = _read_log(args.log)
     target_raw = _load_json(args.target, "target policy file")
     if not isinstance(target_raw, dict):
         raise ConfigError("target policy file must map context ids to action probabilities")
@@ -254,7 +261,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         return probs
 
     reward_spec = _reward_spec(args, config)
-    result = evaluation.snips(events, target_policy, reward_spec)
+    result = evaluation.snips(columns, target_policy, reward_spec)
     thresholds = evaluation.PromotionThresholds(
         variance_ceiling=float(_pick(args, config, "variance-ceiling", 0.05)),
         ess_floor=float(_pick(args, config, "ess-floor", 100.0)),
@@ -270,19 +277,20 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    events = _read_log(args.log)
-    if not events:
+    columns = _read_log(args.log)
+    n = len(columns)
+    if not n:
         raise NoDataError("event log is empty")
-    kpis = sim.kpi_counters(events)
-    clicks = sum(1 for e in events if e.feedback.click is not None)
-    answered = sum(1 for e in events if e.feedback.survey.value != "skipped")
-    prr = evaluation.prr_hat(events)
+    kpis = sim.kpi_counters(columns)
+    clicks = n - columns.click.count(None)
+    answered = n - columns.survey.count(Survey.SKIPPED)
+    prr = evaluation.prr_hat(columns)
     record = {
-        "events": len(events),
+        "events": n,
         "clicks": clicks,
         "answered_surveys": answered,
         "prr": prr,
-        "eas": evaluation.eas_hat(events),
+        "eas": evaluation.eas_hat(columns),
         "handled_share": kpis["handled_share"],
         "engagement": kpis["engagement"],
     }

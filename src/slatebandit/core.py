@@ -15,7 +15,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import accumulate
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -62,16 +62,6 @@ class Context:
 
     def to_dict(self) -> dict:
         return {"id": self.context_id, "features": dict(self.features), "query": self.query}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Context":
-        features = d.get("features")
-        if features is not None and not isinstance(features, dict):
-            raise ValidationError("context features must be a JSON object")
-        query = d.get("query")
-        if query is not None and type(query) is not str:
-            raise ValidationError("context query must be a JSON string or null")
-        return cls(context_id=d["id"], features=dict(features or {}), query=query)
 
 
 @dataclass(frozen=True)
@@ -124,13 +114,7 @@ class Slate:
         self.__post_init__()
 
     def __post_init__(self) -> None:
-        if len(self.items) != len(self.scores):
-            raise ValidationError("items and scores must have equal length")
-        ids = [a.action_id for a in self.items]
-        if len(set(ids)) != len(ids):
-            raise ValidationError("slate contains a duplicate action")
-        if sum(1 for a in self.items if a.is_null_item) > 1:
-            raise ValidationError("slate contains more than one null item")
+        _check_slate(self.items, len(self.scores))
 
     def __len__(self) -> int:
         return len(self.items)
@@ -165,10 +149,7 @@ class Feedback:
     escalation: bool = False
 
     def __post_init__(self) -> None:
-        if self.click is not None and (
-            isinstance(self.click, bool) or not isinstance(self.click, int) or self.click < 0
-        ):
-            raise ValidationError("click must be a non-negative slot index or None")
+        _check_click(self.click)
         if not isinstance(self.survey, Survey):
             raise ValidationError("survey must be a Survey value")
 
@@ -188,27 +169,32 @@ class RewardSpec:
         if self.escalation_weight > 0:
             raise ValidationError("escalation_weight must be <= 0")
 
+    def reward(self, survey: Survey, escalation: bool) -> float | None:
+        """Scalar reward for one event's survey answer and escalation flag,
+        or None when the event carries no signal.
+
+        Survey yes -> +1, no -> -1, skipped -> no reward. In the
+        escalation-aware mode an escalation adds ``escalation_weight`` on top
+        of the survey reward, and a skipped survey with an escalation still
+        yields ``escalation_weight`` alone.
+        """
+        if survey is Survey.YES:
+            base: float | None = 1.0
+        elif survey is Survey.NO:
+            base = -1.0
+        else:
+            base = None
+        if self.mode is RewardMode.SURVEY_ONLY:
+            return base
+        extra = self.escalation_weight if escalation else 0.0
+        if base is None:
+            return extra if escalation else None
+        return base + extra
+
 
 def reward_of(feedback: Feedback, spec: RewardSpec) -> float | None:
-    """Scalar reward for one event, or None when the event carries no signal.
-
-    Survey yes -> +1, no -> -1, skipped -> no reward. In the escalation-aware
-    mode an escalation adds ``escalation_weight`` on top of the survey reward,
-    and a skipped survey with an escalation still yields ``escalation_weight``
-    alone.
-    """
-    if feedback.survey is Survey.YES:
-        base: float | None = 1.0
-    elif feedback.survey is Survey.NO:
-        base = -1.0
-    else:
-        base = None
-    if spec.mode is RewardMode.SURVEY_ONLY:
-        return base
-    extra = spec.escalation_weight if feedback.escalation else 0.0
-    if base is None:
-        return extra if feedback.escalation else None
-    return base + extra
+    """``spec.reward`` of one event's feedback."""
+    return spec.reward(feedback.survey, feedback.escalation)
 
 
 @dataclass(frozen=True)
@@ -224,16 +210,9 @@ class LoggedEvent:
     policy_tag: str = ""
 
     def __post_init__(self) -> None:
-        if isinstance(self.ts, bool) or not isinstance(self.ts, int):
-            raise ValidationError("ts must be integer epoch seconds")
-        if self.feedback.click is not None and self.feedback.click >= len(self.slate):
-            raise ValidationError("click does not index a valid slot of the served slate")
-        if self.propensity is not None and not (0.0 < self.propensity <= 1.0):
-            raise ValidationError("propensity must lie in (0, 1]")
-        if self.posteriors is not None:
-            for a in self.slate.items:
-                if a.action_id not in self.posteriors:
-                    raise ValidationError("posteriors must cover every slate action")
+        _check_event(
+            self.ts, self.slate.items, self.feedback.click, self.propensity, self.posteriors
+        )
 
     def clicked_action(self) -> Action | None:
         if self.feedback.click is None:
@@ -241,37 +220,125 @@ class LoggedEvent:
         return self.slate.items[self.feedback.click]
 
 
-def attributed_action(event: LoggedEvent) -> Action | None:
-    """The action the event's feedback attaches to.
+# The structural rules of a slate and an event, each written once: the
+# dataclasses check them on construction, and ``_read_line`` on a line it
+# reads into columns.
+
+
+def _check_slate(items: tuple[Action, ...], n_scores: int) -> None:
+    if len(items) != n_scores:
+        raise ValidationError("items and scores must have equal length")
+    ids = [a.action_id for a in items]
+    if len(set(ids)) != len(ids):
+        raise ValidationError("slate contains a duplicate action")
+    if sum(1 for a in items if a.is_null_item) > 1:
+        raise ValidationError("slate contains more than one null item")
+
+
+def _check_click(click) -> None:
+    if click is not None and (isinstance(click, bool) or not isinstance(click, int) or click < 0):
+        raise ValidationError("click must be a non-negative slot index or None")
+
+
+def _check_event(ts, items: tuple[Action, ...], click, propensity, posteriors) -> None:
+    if isinstance(ts, bool) or not isinstance(ts, int):
+        raise ValidationError("ts must be integer epoch seconds")
+    if click is not None and click >= len(items):
+        raise ValidationError("click does not index a valid slot of the served slate")
+    if propensity is not None and not (0.0 < propensity <= 1.0):
+        raise ValidationError("propensity must lie in (0, 1]")
+    if posteriors is not None:
+        for a in items:
+            if a.action_id not in posteriors:
+                raise ValidationError("posteriors must cover every slate action")
+
+
+def attributed_item(items: tuple[Action, ...], click: int | None) -> Action | None:
+    """The action feedback on the served ``items`` attaches to.
 
     The clicked slot when there is a click; for a direct-trigger singleton
     slate (one content item, no null slot) the single item, because there the
     click is implicit and censored. None when nothing was selected.
     """
-    clicked = event.clicked_action()
-    if clicked is not None:
-        return clicked
-    if len(event.slate) == 1 and not event.slate.items[0].is_null_item:
-        return event.slate.items[0]
+    if click is not None:
+        return items[click]
+    if len(items) == 1 and not items[0].is_null_item:
+        return items[0]
     return None
 
 
-def attributed_rewards(
-    events: Iterable[LoggedEvent], spec: RewardSpec
-) -> Iterator[tuple[int, LoggedEvent, Action, float]]:
-    """(index, event, attributed action, reward) for every event that carries
-    a reward and attaches it to an action, the null item included.
+def attributed_action(event: LoggedEvent) -> Action | None:
+    """``attributed_item`` of one event."""
+    return attributed_item(event.slate.items, event.feedback.click)
 
-    The one filter every learner and estimator reads the log through, so the
-    online and offline paths see the same rows; ``index`` counts all events.
+
+@dataclass
+class LogColumns:
+    """A log as per-event columns, in log order.
+
+    The actions in ``slates`` are shared objects where a reader interns them
+    (``read_columns`` does). ``propensity`` holds the logged value, None
+    where none was logged. No ``Slate``, ``Feedback`` or ``LoggedEvent`` is
+    kept.
     """
-    for index, event in enumerate(events):
-        reward = reward_of(event.feedback, spec)
-        if reward is None:
-            continue
-        action = attributed_action(event)
-        if action is not None:
-            yield index, event, action, reward
+
+    ts: list[int]
+    contexts: list[Context]
+    slates: list[tuple[Action, ...]]
+    click: list[int | None]
+    survey: list[Survey]
+    escalation: list[bool]
+    propensity: list[float | None]
+
+    def __len__(self) -> int:
+        return len(self.ts)
+
+    @classmethod
+    def from_events(cls, events: list[LoggedEvent]) -> "LogColumns":
+        """The columns of in-memory events, sharing their objects."""
+        feedback = [e.feedback for e in events]
+        return cls(
+            ts=[e.ts for e in events],
+            contexts=[e.context for e in events],
+            slates=[e.slate.items for e in events],
+            click=[f.click for f in feedback],
+            survey=[f.survey for f in feedback],
+            escalation=[f.escalation for f in feedback],
+            propensity=[e.propensity for e in events],
+        )
+
+
+def attributed_reward(
+    items: tuple[Action, ...], click: int | None, survey: Survey, escalation: bool,
+    spec: RewardSpec,
+) -> tuple[Action, float] | None:
+    """(attributed action, reward) of one event, or None when the event
+    carries no reward or attaches it to no action. The null item counts.
+
+    The one filter every learner and estimator reads a log through, so the
+    online and offline paths see the same rows.
+    """
+    reward = spec.reward(survey, escalation)
+    if reward is None:
+        return None
+    action = attributed_item(items, click)
+    if action is None:
+        return None
+    return action, reward
+
+
+def attributed_rewards(
+    columns: LogColumns, spec: RewardSpec
+) -> Iterator[tuple[int, Action, float]]:
+    """(index, attributed action, reward) for every event that
+    ``attributed_reward`` keeps; ``index`` counts all events and indexes the
+    other columns.
+    """
+    rows = zip(columns.slates, columns.click, columns.survey, columns.escalation)
+    for index, (items, click, survey, escalation) in enumerate(rows):
+        attributed = attributed_reward(items, click, survey, escalation, spec)
+        if attributed is not None:
+            yield index, *attributed
 
 
 def categorical(weights, rng: np.random.Generator) -> int:
@@ -359,6 +426,21 @@ def _decode_action(d, interned: dict | None, v2: bool) -> Action:
     return action
 
 
+def _decode_context(d) -> Context:
+    if not isinstance(d, dict):
+        raise ValidationError("event field 'ctx' must be a JSON object")
+    features = d.get("features")
+    if features is not None and not isinstance(features, dict):
+        raise ValidationError("context features must be a JSON object")
+    query = d.get("query")
+    if query is not None and type(query) is not str:
+        raise ValidationError("context query must be a JSON string or null")
+    context_id = d["id"]
+    if type(context_id) is not str:  # Context itself rejects an empty id
+        raise ValidationError("context id must be a JSON string")
+    return Context(context_id, dict(features or {}), query)
+
+
 def _field(record: dict, name: str, kind: type, what: str):
     value = record[name]
     if not isinstance(value, kind):
@@ -369,6 +451,82 @@ def _field(record: dict, name: str, kind: type, what: str):
 # the types json.loads gives a JSON number; bool subclasses int, but compared
 # by exact type ``true`` is no number
 _NUMBER_TYPES = frozenset((int, float))
+_SURVEYS = {s.value: s for s in Survey}
+
+
+def _read_line(line: str, interned: dict | None, as_event: bool = False):
+    """The checked fields of one log line, as the tuple ts, context, items (a
+    tuple of Actions), click, survey, escalation, propensity; or with
+    ``as_event`` the ``LoggedEvent`` the line holds.
+
+    The one validator of a line, so ``decode_event`` and ``read_columns``
+    accept and reject the same lines. The structural rules run once either
+    way: for the tuple here, for the event in the ``Slate``, ``Feedback``
+    and ``LoggedEvent`` constructors. ValidationError when the line is not a
+    well-formed event.
+    """
+    try:
+        record = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"malformed event line: {exc}") from exc
+    if not isinstance(record, dict):
+        raise ValidationError("event line must hold a JSON object")
+    try:
+        v2 = "v" in record
+        if v2 and (type(record["v"]) is not int or record["v"] != LOG_VERSION):
+            raise ValidationError(f"unknown event log version {record['v']!r}")
+        survey = _SURVEYS.get(record["survey"])
+        if survey is None:
+            raise ValidationError("survey must be yes/no/skipped")
+        escalation = record.get("escalation", False)
+        if type(escalation) is not bool:
+            raise ValidationError("event field 'escalation' must be a JSON boolean")
+        propensity = record.get("propensity")
+        if propensity is not None and type(propensity) not in _NUMBER_TYPES:
+            raise ValidationError("event field 'propensity' must be a JSON number or null")
+        policy = record.get("policy", "")
+        if type(policy) is not str:
+            raise ValidationError("event field 'policy' must be a JSON string")
+        posteriors = record.get("posteriors")
+        if posteriors is not None:
+            posteriors = _field(record, "posteriors", dict, "object")
+            for pair in posteriors.values():
+                if type(pair) is not list or len(pair) != 2 or not _NUMBER_TYPES.issuperset(
+                    map(type, pair)
+                ):
+                    raise ValidationError("a posteriors entry must be two JSON numbers")
+        slate = _field(record, "slate", dict, "object")
+        scores = _field(slate, "scores", list, "list")
+        if not _NUMBER_TYPES.issuperset(map(type, scores)):
+            raise ValidationError("slate scores must be JSON numbers")
+        items = tuple(
+            [_decode_action(d, interned, v2) for d in _field(slate, "items", list, "list")]
+        )
+        context = _decode_context(record["ctx"])
+        click = record.get("click")
+        ts = record["ts"]
+        if as_event:
+            if posteriors is not None:
+                posteriors = {k: (float(s), float(t)) for k, (s, t) in posteriors.items()}
+            return LoggedEvent(
+                ts=ts,
+                context=context,
+                slate=Slate(items=items, scores=scores),
+                feedback=Feedback(click=click, survey=survey, escalation=escalation),
+                propensity=propensity,
+                posteriors=posteriors,
+                policy_tag=policy,
+            )
+        _check_slate(items, len(scores))
+        _check_click(click)
+        _check_event(ts, items, click, propensity, posteriors)
+    except KeyError as exc:
+        raise ValidationError(f"event line missing field {exc}") from exc
+    except ValidationError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"malformed event line: {exc}") from exc
+    return ts, context, items, click, survey, escalation, propensity
 
 
 def decode_event(line: str, *, interned: dict | None = None) -> LoggedEvent:
@@ -385,57 +543,47 @@ def decode_event(line: str, *, interned: dict | None = None) -> LoggedEvent:
     own. Without it every item is built afresh. Either way the events compare
     equal and re-encode to the same bytes.
     """
-    try:
-        record = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"malformed event line: {exc}") from exc
-    if not isinstance(record, dict):
-        raise ValidationError("event line must hold a JSON object")
-    v2 = "v" in record
-    if v2 and (type(record["v"]) is not int or record["v"] != LOG_VERSION):
-        raise ValidationError(f"unknown event log version {record['v']!r}")
-    try:
-        survey = Survey(record["survey"])
-    except (KeyError, ValueError) as exc:
-        raise ValidationError("survey must be yes/no/skipped") from exc
-    escalation = record.get("escalation", False)
-    if type(escalation) is not bool:
-        raise ValidationError("event field 'escalation' must be a JSON boolean")
-    propensity = record.get("propensity")
-    if propensity is not None and type(propensity) not in _NUMBER_TYPES:
-        raise ValidationError("event field 'propensity' must be a JSON number or null")
-    policy_tag = record.get("policy", "")
-    if type(policy_tag) is not str:
-        raise ValidationError("event field 'policy' must be a JSON string")
-    try:
-        posteriors = record.get("posteriors")
-        if posteriors is not None:
-            posteriors = _field(record, "posteriors", dict, "object")
-            posteriors = {k: (float(v[0]), float(v[1])) for k, v in posteriors.items()}
-        slate = _field(record, "slate", dict, "object")
-        items = _field(slate, "items", list, "list")
-        scores = _field(slate, "scores", list, "list")
-        if not _NUMBER_TYPES.issuperset(map(type, scores)):
-            raise ValidationError("slate scores must be JSON numbers")
-        return LoggedEvent(
-            ts=record["ts"],
-            context=Context.from_dict(_field(record, "ctx", dict, "object")),
-            slate=Slate(items=[_decode_action(d, interned, v2) for d in items], scores=scores),
-            feedback=Feedback(
-                click=record.get("click"),
-                survey=survey,
-                escalation=escalation,
-            ),
-            propensity=propensity,
-            posteriors=posteriors,
-            policy_tag=policy_tag,
-        )
-    except KeyError as exc:
-        raise ValidationError(f"event line missing field {exc}") from exc
-    except ValidationError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"malformed event line: {exc}") from exc
+    return _read_line(line, interned, as_event=True)
+
+
+def _lines(path: str | os.PathLike) -> Iterator[str]:
+    """The stripped lines of the file at ``path``, blank ones skipped."""
+    with open(path, "r", encoding="utf-8") as fh:
+        for line in fh:
+            line = line.strip()
+            if line:
+                yield line
+
+
+def read_columns(path: str | os.PathLike) -> LogColumns:
+    """The log at ``path`` as columns, read in one pass, blank lines skipped.
+
+    Each line goes through the same validator as ``decode_event``, so a log
+    ``EventLog.read_all`` rejects is rejected here too, with ValidationError.
+    Slate items are interned for the pass, as in ``EventLog.replay``; the
+    parsed line is dropped once its columns are taken, and no event object
+    is built.
+    """
+    interned: dict = {}
+    ts, contexts, slates, clicks, surveys, escalations, propensities = [], [], [], [], [], [], []
+    for line in _lines(path):
+        t, context, items, click, survey, escalation, propensity = _read_line(line, interned)
+        ts.append(t)
+        contexts.append(context)
+        slates.append(items)
+        clicks.append(click)
+        surveys.append(survey)
+        escalations.append(escalation)
+        propensities.append(propensity)
+    return LogColumns(
+        ts=ts,
+        contexts=contexts,
+        slates=slates,
+        click=clicks,
+        survey=surveys,
+        escalation=escalations,
+        propensity=propensities,
+    )
 
 
 class EventLog:
@@ -479,11 +627,8 @@ class EventLog:
         do (see ``decode_event``).
         """
         interned: dict = {}
-        with open(self.path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if line:
-                    yield decode_event(line, interned=interned)
+        for line in _lines(self.path):
+            yield decode_event(line, interned=interned)
 
     def read_all(self) -> list[LoggedEvent]:
         return list(self.replay())

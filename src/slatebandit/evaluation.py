@@ -16,7 +16,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .core import (
-    LoggedEvent,
+    LogColumns,
     NoDataError,
     RewardSpec,
     Survey,
@@ -53,7 +53,7 @@ class OpeResult:
 
 
 def snips(
-    events: list[LoggedEvent],
+    columns: LogColumns,
     target_policy: TargetPolicy,
     reward_spec: RewardSpec,
 ) -> OpeResult:
@@ -69,14 +69,15 @@ def snips(
     rewards = []
     weights = []
     missing = []
-    for index, event, action, reward in attributed_rewards(events, reward_spec):
-        if event.propensity is None:
+    for index, action, reward in attributed_rewards(columns, reward_spec):
+        propensity = columns.propensity[index]
+        if propensity is None:
             missing.append(index)
             continue
-        target_probs = target_policy(event.context)
+        target_probs = target_policy(columns.contexts[index])
         pi = float(target_probs.get(action.action_id, 0.0))
         rewards.append(reward)
-        weights.append(pi / event.propensity)
+        weights.append(pi / propensity)
     if missing:
         shown = ", ".join(str(i) for i in missing[:10])
         raise MissingPropensityError(
@@ -102,20 +103,20 @@ def snips(
     )
 
 
-def prr_hat(events: list[LoggedEvent]) -> float | None:
+def prr_hat(columns: LogColumns) -> float | None:
     """Share of answered surveys that came back positive; None if none answered."""
-    yes = sum(1 for e in events if e.feedback.survey is Survey.YES)
-    no = sum(1 for e in events if e.feedback.survey is Survey.NO)
+    yes = columns.survey.count(Survey.YES)
+    no = columns.survey.count(Survey.NO)
     if yes + no == 0:
         return None
     return yes / (yes + no)
 
 
-def eas_hat(events: list[LoggedEvent]) -> float:
+def eas_hat(columns: LogColumns) -> float:
     """Escalation rate over all events."""
-    if not events:
+    if not len(columns):
         raise NoDataError("no events")
-    return sum(1 for e in events if e.feedback.escalation) / len(events)
+    return columns.escalation.count(True) / len(columns)
 
 
 @dataclass

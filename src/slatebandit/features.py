@@ -20,7 +20,7 @@ import numpy as np
 from .core import (
     Action,
     Context,
-    LoggedEvent,
+    LogColumns,
     NoDataError,
     RewardSpec,
     ValidationError,
@@ -357,7 +357,7 @@ class FeatureMap:
 
 
 def training_pairs(
-    events: list[LoggedEvent], reward_spec: RewardSpec, featurizer: FeaturizerSpec
+    columns: LogColumns, reward_spec: RewardSpec, featurizer: FeaturizerSpec
 ) -> tuple[np.ndarray, np.ndarray]:
     """(X, y) over events with a defined reward attributed to a content action.
 
@@ -369,15 +369,16 @@ def training_pairs(
     xs = []
     ys = []
     rows: dict[tuple, np.ndarray] = {}
-    for _, event, action, reward in attributed_rewards(events, reward_spec):
+    for index, action, reward in attributed_rewards(columns, reward_spec):
         # the network learns what an article is worth; free-text turns on the
         # null slot reach the bandit head only
         if action.is_null_item:
             continue
-        key = _featurize_key(featurizer, event.context, action)
+        context = columns.contexts[index]
+        key = _featurize_key(featurizer, context, action)
         x = rows.get(key)
         if x is None:
-            x = rows[key] = featurize(featurizer, event.context, action)
+            x = rows[key] = featurize(featurizer, context, action)
         xs.append(x)
         ys.append(reward)
     if not xs:
@@ -386,7 +387,7 @@ def training_pairs(
 
 
 def train(
-    events: list[LoggedEvent],
+    columns: LogColumns,
     reward_spec: RewardSpec,
     featurizer: FeaturizerSpec,
     config: TrainConfig,
@@ -396,7 +397,7 @@ def train(
     Records the full-training-set loss after each epoch; raises NoDataError
     when no event yields a usable (features, reward) pair.
     """
-    x, y = training_pairs(events, reward_spec, featurizer)
+    x, y = training_pairs(columns, reward_spec, featurizer)
     if len(y) == 0:
         raise NoDataError("no usable training pairs in the event log")
     rng = np.random.default_rng(config.seed)

@@ -30,14 +30,15 @@ from .core import (
     Context,
     EventLog,
     Feedback,
+    LogColumns,
     LoggedEvent,
     RewardSpec,
     Slate,
     Survey,
     ValidationError,
     atomic_write,
-    attributed_action,
-    attributed_rewards,
+    attributed_item,
+    attributed_reward,
     categorical,
     null_item,
 )
@@ -445,7 +446,15 @@ class NlbPolicy(BasePolicy):
         return decision
 
     def aggregate(self, events: list[LoggedEvent], now: int) -> None:
-        for _, event, action, reward in attributed_rewards(events, self.reward_spec):
+        for event in events:
+            feedback = event.feedback
+            attributed = attributed_reward(
+                event.slate.items, feedback.click, feedback.survey, feedback.escalation,
+                self.reward_spec,
+            )
+            if attributed is None:
+                continue
+            action, reward = attributed
             # Null attributions (free-text surveys) count too: they are the
             # only evidence the head ever gets about the do-nothing slot.
             phi = np.asarray(self.feature_fn(event.context, action), dtype=float)
@@ -648,27 +657,29 @@ def analytic_oracle_prr(world: WorldSpec) -> float:
     return num / den
 
 
-def kpi_counters(events: list[LoggedEvent]) -> dict[str, float]:
+def kpi_counters(columns: LogColumns) -> dict[str, float]:
     """Session-outcome counters over a batch of events.
 
     "handled": an answer was delivered (content selection or direct trigger),
     nothing escalated, and the survey did not come back negative. "engaged":
     the user interacted at all (any click, including the free-text turn, or a
-    direct trigger).
+    direct trigger), which is exactly when the event attributes to an action.
     """
-    if not events:
+    n = len(columns)
+    if not n:
         return {"handled_share": 0.0, "engagement": 0.0}
     handled = 0
     engaged = 0
-    for event in events:
-        attributed = attributed_action(event)
-        delivered = attributed is not None and not attributed.is_null_item
-        direct_trigger = len(event.slate) == 1 and not event.slate.items[0].is_null_item
-        if delivered and not event.feedback.escalation and event.feedback.survey is not Survey.NO:
+    for items, click, survey, escalation in zip(
+        columns.slates, columns.click, columns.survey, columns.escalation
+    ):
+        attributed = attributed_item(items, click)
+        if attributed is None:
+            continue
+        engaged += 1
+        if not attributed.is_null_item and not escalation and survey is not Survey.NO:
             handled += 1
-        if event.feedback.click is not None or direct_trigger:
-            engaged += 1
-    return {"handled_share": handled / len(events), "engagement": engaged / len(events)}
+    return {"handled_share": handled / n, "engagement": engaged / n}
 
 
 @dataclass
@@ -730,7 +741,8 @@ def run(
     def flush_window(t_end: int) -> None:
         nonlocal window_start
         policy.aggregate(window_events, t_end)
-        kpis = kpi_counters(window_events)
+        window = LogColumns.from_events(window_events)
+        kpis = kpi_counters(window)
         total_regret = float(sum(window_regret))
         windows.append(
             WindowMetrics(
@@ -738,8 +750,8 @@ def run(
                 t_start=window_start,
                 t_end=t_end,
                 n_events=len(window_events),
-                prr=evaluation.prr_hat(window_events),
-                eas=evaluation.eas_hat(window_events) if window_events else 0.0,
+                prr=evaluation.prr_hat(window),
+                eas=evaluation.eas_hat(window) if window_events else 0.0,
                 handled_share=kpis["handled_share"],
                 engagement=kpis["engagement"],
                 regret_total=total_regret,

@@ -19,7 +19,7 @@ from scipy import integrate, stats as sps
 
 from slatebandit import expansion, features, linear, mab
 from slatebandit.cli import EXIT_OK, main
-from slatebandit.core import Action, RewardSpec, Slate, null_item
+from slatebandit.core import Action, LogColumns, RewardSpec, Slate, null_item
 from slatebandit.evaluation import prr_hat, snips
 from slatebandit.sim import (
     ActionTruth,
@@ -231,15 +231,16 @@ def test_06_snips_identity_and_two_arm_truth():
             policy_seed=9,
         )
         spec = RewardSpec()
+        logged = LogColumns.from_events(result.events)
         identity = snips(
-            result.events,
+            logged,
             lambda ctx: {"x": 1 / 3, "y": 1 / 3, null_item().action_id: 1 / 3},
             spec,
         )
         assert identity.estimate == identity.logging_policy_mean
 
-        always_x = snips(result.events, lambda ctx: {"x": 1.0}, spec)
-        always_y = snips(result.events, lambda ctx: {"y": 1.0}, spec)
+        always_x = snips(logged, lambda ctx: {"x": 1.0}, spec)
+        always_y = snips(logged, lambda ctx: {"y": 1.0}, spec)
         # survey reward is +-1, so truth is 2 p_yes - 1
         assert abs(always_x.estimate - 0.6) <= 0.05
         assert abs(always_y.estimate - (-0.4)) <= 0.05
@@ -288,8 +289,8 @@ def test_07_discrete_policy_learns_the_world():
         )
         elapsed = time.monotonic() - started
         oracle = analytic_oracle_prr(world)
-        learned = prr_hat(learner.final_slice(0.1))
-        floor = prr_hat(uniform.final_slice(0.1))
+        learned = prr_hat(LogColumns.from_events(learner.final_slice(0.1)))
+        floor = prr_hat(LogColumns.from_events(uniform.final_slice(0.1)))
         note["detail"] = (
             f"prr {learned:.3f} vs oracle {oracle:.3f} and uniform {floor:.3f}, "
             f"{elapsed:.0f}s"

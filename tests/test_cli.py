@@ -10,6 +10,8 @@ import re
 import numpy as np
 import pytest
 
+from conftest import make_event
+from slatebandit import core
 from slatebandit.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
 from slatebandit.core import NULL_ACTION_ID, EventLog, RewardSpec, Survey
 from slatebandit.features import load_feature_map
@@ -43,6 +45,17 @@ def write_world(path, skip=0.3, freetype=False):
     }
     path.write_text(json.dumps(world))
     return path
+
+
+def edit_record(change):
+    """A log-line edit that applies ``change`` to the line's JSON object."""
+
+    def edit(line):
+        record = json.loads(line)
+        change(record)
+        return json.dumps(record, sort_keys=True, separators=(",", ":"))
+
+    return edit
 
 
 class TestSimulate:
@@ -215,6 +228,37 @@ class TestPipeline:
         assert code == EXIT_OK
         report = json.loads(report_path.read_text())
         assert report["events"] == 300
+
+    def test_offline_stages_build_no_event_objects(self, tmp_path, monkeypatch):
+        log = self.simulate(tmp_path) / "events.jsonl"
+        target = tmp_path / "target.json"
+        target.write_text(json.dumps({"c0": {"a_good": 1.0}}))
+        fm_path = tmp_path / "feature_map.json"
+        built = []
+        for cls in (core.LoggedEvent, core.Slate, core.Feedback):
+            def counting(self, original=cls.__post_init__, name=cls.__name__):
+                built.append(name)
+                original(self)
+
+            monkeypatch.setattr(cls, "__post_init__", counting)
+
+        def no_decode(*args, **kwargs):
+            raise AssertionError("decode_event called")
+
+        monkeypatch.setattr(core, "decode_event", no_decode)
+        for argv in (
+            ["train-repr", "--log", str(log), "--out", str(fm_path), "--seed", "4",
+             "--hidden", "8", "--epochs", "2", "--embedding-dim", "4"],
+            ["fit-bandit", "--log", str(log), "--features", str(fm_path),
+             "--out", str(tmp_path / "head.json")],
+            ["evaluate", "--log", str(log), "--target", str(target),
+             "--out", str(tmp_path / "eval.json")],
+            ["report", "--log", str(log), "--out", str(tmp_path / "report.json")],
+        ):
+            assert main(argv) == EXIT_OK
+        assert built == []
+        make_event()  # the counters do count
+        assert built == ["Slate", "Feedback", "LoggedEvent"]
 
     def test_offline_head_matches_the_online_fold_of_the_same_log(self, tmp_path):
         # Free-text turns attribute surveys to the null slot; the online
@@ -400,6 +444,16 @@ class TestExitCodes:
         code = main(["report", "--log", str(log)])
         assert code == EXIT_RUNTIME
 
+    def test_log_of_blank_lines_is_a_runtime_error(self, tmp_path):
+        log = tmp_path / "events.jsonl"
+        log.write_text("\n  \n\n")
+        assert main(["report", "--log", str(log)]) == EXIT_RUNTIME
+        target = tmp_path / "target.json"
+        target.write_text(json.dumps({"*": {"a_good": 1.0}}))
+        argv = ["evaluate", "--log", str(log), "--target", str(target),
+                "--out", str(tmp_path / "eval.json")]
+        assert main(argv) == EXIT_RUNTIME
+
     @pytest.mark.parametrize(
         "edit",
         [
@@ -411,11 +465,18 @@ class TestExitCodes:
             lambda line: re.sub(r'"policy":"[^"]*"', '"policy":5', line),
             lambda line: re.sub(r'"query":(null|"[^"]*")', '"query":7', line),
             lambda line: line.replace('"v":2}', '"v":3}'),
+            edit_record(lambda r: r.__setitem__(
+                "posteriors", {item["id"]: [True, 1] for item in r["slate"]["items"]})),
+            edit_record(lambda r: r.__setitem__(
+                "posteriors", {item["id"]: ["1", "2"] for item in r["slate"]["items"]})),
+            edit_record(lambda r: r["ctx"].__setitem__("id", 5)),
+            edit_record(lambda r: r["ctx"].__setitem__("id", "")),
         ],
         ids=[
             "line-not-an-object", "slate-not-an-object", "escalation-not-a-boolean",
             "propensity-a-boolean", "score-a-boolean", "policy-a-number", "query-a-number",
-            "unknown-version",
+            "unknown-version", "posterior-a-boolean", "posterior-strings", "ctx-id-a-number",
+            "ctx-id-empty",
         ],
     )
     def test_malformed_log_line_is_a_runtime_error(self, tmp_path, edit):

@@ -1,5 +1,6 @@
 """Domain types, reward mapping, and the event log."""
 
+import dataclasses
 import json
 import os
 
@@ -14,6 +15,7 @@ from slatebandit.core import (
     Context,
     EventLog,
     Feedback,
+    LogColumns,
     LoggedEvent,
     RewardMode,
     RewardSpec,
@@ -27,6 +29,7 @@ from slatebandit.core import (
     decode_event,
     encode_event,
     null_item,
+    read_columns,
     reward_of,
 )
 
@@ -142,12 +145,12 @@ class TestAttributedRewards:
             make_event(ts=2, click=2, survey=Survey.NO),  # free-text turn on the null slot
             make_event(ts=3, survey=Survey.YES),  # nothing selected: no action
         ]
-        rows = list(attributed_rewards(events, RewardSpec()))
-        assert [(i, a.action_id, r) for i, _, a, r in rows] == [
+        rows = list(attributed_rewards(LogColumns.from_events(events), RewardSpec()))
+        assert [(i, a.action_id, r) for i, a, r in rows] == [
             (0, "a1", 1.0),
             (2, NULL_ACTION_ID, -1.0),
         ]
-        assert rows[1][1] is events[2]
+        assert rows[1][1] is events[2].slate.items[2]
 
 
 class TestEventValidation:
@@ -179,6 +182,17 @@ class TestEventValidation:
                 slate=make_slate(["a1"]),
                 feedback=Feedback(),
             )
+
+
+def assert_both_readers_reject(line: str, tmp_path) -> None:
+    """``decode_event`` and ``read_columns`` both raise ValidationError on
+    ``line``, the latter also when a good line comes first."""
+    with pytest.raises(ValidationError):
+        decode_event(line)
+    path = tmp_path / "events.jsonl"
+    path.write_text(encode_event(make_event()) + "\n" + line + "\n")
+    with pytest.raises(ValidationError):
+        read_columns(path)
 
 
 class TestEventSerialization:
@@ -224,14 +238,12 @@ class TestEventSerialization:
         assert back.slate.scores[0] == score
         assert back.propensity == 1 / 3
 
-    def test_malformed_line_raises(self):
-        with pytest.raises(ValidationError):
-            decode_event("{not json")
+    def test_malformed_line_raises(self, tmp_path):
+        assert_both_readers_reject("{not json", tmp_path)
 
-    def test_bad_survey_value_raises(self):
+    def test_bad_survey_value_raises(self, tmp_path):
         line = encode_event(make_event()).replace('"skipped"', '"maybe"')
-        with pytest.raises(ValidationError):
-            decode_event(line)
+        assert_both_readers_reject(line, tmp_path)
 
 
 # written by the v1 encoder, which wrote every field and no version
@@ -326,11 +338,10 @@ class TestLogFormat:
         for table in (None, {}):
             assert encode_event(decode_event(line, interned=table)) == line
 
-    def test_a_v2_null_flag_must_agree_with_the_id(self):
+    def test_a_v2_null_flag_must_agree_with_the_id(self, tmp_path):
         record = json.loads(encode_event(V1_EVENTS[1]))
         record["slate"]["items"][0]["null"] = True
-        with pytest.raises(ValidationError):
-            decode_event(json.dumps(record))
+        assert_both_readers_reject(json.dumps(record), tmp_path)
 
 
 class TestEventLog:
@@ -393,6 +404,74 @@ class TestEventLog:
                 assert mine is theirs
 
 
+def mixed_events() -> list[LoggedEvent]:
+    """Events covering every attribution and reward case: content and
+    null-slot clicks, no click, a direct trigger, each survey answer,
+    escalations, propensities present and absent, and a context with a
+    query and features."""
+    events = [
+        make_event(ts=0, click=0, survey=Survey.YES, propensity=0.25),
+        make_event(ts=1, click=2, survey=Survey.NO, escalation=True),
+        make_event(ts=1, click=None, survey=Survey.YES, propensity=1.0),
+        make_event(ts=5, action_ids=["solo"], with_null=False, survey=Survey.NO),
+        make_event(ts=3, click=1, survey=Survey.SKIPPED, escalation=True, propensity=0.5),
+        make_event(ts=9, context_id="other", click=1, survey=Survey.YES),
+    ]
+    context = Context("rich", features={"channel": "web"}, query="reset my password")
+    events.append(
+        LoggedEvent(ts=10, context=context, slate=make_slate(["a1"]),
+                    feedback=Feedback(click=0, survey=Survey.NO), propensity=0.125)
+    )
+    return events
+
+
+class TestReadColumns:
+    @pytest.mark.parametrize("encode", [encode_v1, encode_v2], ids=["v1", "v2"])
+    def test_equals_the_columns_of_the_decoded_events(self, tmp_path, encode):
+        events = mixed_events()
+        path = tmp_path / "events.jsonl"
+        # blank and whitespace-only lines are skipped, as replay skips them
+        path.write_text("\n".join(encode(e) for e in events[:3]) + "\n\n  \n"
+                        + "".join(encode(e) + "\n" for e in events[3:]))
+        got = read_columns(path)
+        assert got == LogColumns.from_events(EventLog(path).read_all())
+        assert got == LogColumns.from_events(events)
+        assert len(got) == len(events)
+        assert got.ts == [e.ts for e in events]
+        assert got.propensity[:2] == [0.25, None]
+
+    def test_interns_items_for_the_pass(self, tmp_path):
+        path = tmp_path / "events.jsonl"
+        log = EventLog(path)
+        for i in range(3):
+            log.append(make_event(ts=i, action_ids=["a1", "a2"]))
+        got = read_columns(path)
+        for items in got.slates[1:]:
+            assert all(mine is theirs for mine, theirs in zip(items, got.slates[0]))
+
+    def test_an_empty_log_has_no_rows(self, tmp_path):
+        path = tmp_path / "events.jsonl"
+        path.write_text("\n\n")
+        assert len(read_columns(path)) == 0
+
+    def test_columns_compare_by_value(self):
+        events = mixed_events()
+        assert LogColumns.from_events(events) == LogColumns.from_events(list(events))
+        moved = events[:1] + [dataclasses.replace(events[1], propensity=0.5)] + events[2:]
+        assert LogColumns.from_events(moved) != LogColumns.from_events(events)
+
+    def test_attributed_rewards_follow_the_per_event_rules(self):
+        events = mixed_events()
+        for spec in (RewardSpec(), RewardSpec(RewardMode.SURVEY_AND_ESCALATION, -0.5)):
+            expected = []
+            for index, event in enumerate(events):
+                reward = reward_of(event.feedback, spec)
+                action = attributed_action(event)
+                if reward is not None and action is not None:
+                    expected.append((index, action, reward))
+            assert list(attributed_rewards(LogColumns.from_events(events), spec)) == expected
+
+
 def item_lines(features_by_event: list[dict]) -> list[str]:
     """One encoded event per entry, each serving item "a1" (same id, title and
     null flag throughout) with the given features, then the null item."""
@@ -415,6 +494,12 @@ def edited_line(edit) -> str:
 
 def set_item_field(name, value):
     return lambda r: r["slate"]["items"][0].__setitem__(name, value)
+
+
+def set_posteriors(first):
+    """Posteriors for both items of an ``item_lines`` event, the first
+    item's entry set to ``first``."""
+    return lambda r: r.__setitem__("posteriors", {"a1": first, NULL_ACTION_ID: [0.0, 1.0]})
 
 
 class TestDecodeInterning:
@@ -465,24 +550,61 @@ class TestDecodeInterning:
             lambda r: r.__setitem__("v", 1),
             lambda r: r.__setitem__("v", "2"),
             lambda r: r.__setitem__("v", True),
+            set_posteriors([True, 1.0]),
+            set_posteriors(["3", "4"]),
+            set_posteriors([1.0, 2.0, 3.0]),
+            set_posteriors([1.0]),
+            set_posteriors(5),
+            set_posteriors({"s": 1.0, "f": 2.0}),
+            set_posteriors("ab"),
+            lambda r: r["ctx"].__setitem__("id", 5),
+            lambda r: r["ctx"].__setitem__("id", ""),
+            lambda r: r["ctx"].__setitem__("id", ["c"]),
+            lambda r: r["ctx"].__setitem__("id", None),
         ],
         ids=[
             "ctx", "slate", "items", "item", "features", "id", "scores", "posteriors",
             "ctx-features", "escalation-string", "escalation-number", "propensity-boolean",
             "propensity-string", "score-boolean", "policy-number", "query-number",
             "version-3", "version-1", "version-string", "version-boolean",
+            "posterior-boolean", "posterior-strings", "posterior-three-numbers",
+            "posterior-one-number", "posterior-a-number", "posterior-an-object",
+            "posterior-a-string", "ctx-id-number", "ctx-id-empty", "ctx-id-list",
+            "ctx-id-null",
         ],
     )
-    def test_malformed_shapes_raise_validation_error(self, edit):
+    def test_malformed_shapes_raise_validation_error(self, edit, tmp_path):
         line = edited_line(edit)
         for table in (None, {}):
             with pytest.raises(ValidationError):
                 decode_event(line, interned=table)
+        # the column reader goes through the same validator
+        path = tmp_path / "events.jsonl"
+        path.write_text(item_lines([{}])[0] + "\n" + line + "\n")
+        with pytest.raises(ValidationError):
+            read_columns(path)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            set_posteriors([3, 4]),
+            set_posteriors([0.5, 1e300]),
+            lambda r: r["ctx"].__setitem__("features", {"tier": 1}),
+            set_item_field("features", {"kind": True}),
+            lambda r: r.__setitem__("propensity", 1),
+        ],
+        ids=["posterior-ints", "posterior-floats", "ctx-feature-number",
+             "item-feature-boolean", "propensity-int"],
+    )
+    def test_both_readers_accept_the_same_unusual_lines(self, edit, tmp_path):
+        line = edited_line(edit)
+        path = tmp_path / "events.jsonl"
+        path.write_text(line + "\n")
+        assert read_columns(path) == LogColumns.from_events([decode_event(line)])
 
     @pytest.mark.parametrize("line", ["[1, 2]", '"event"', "5", "null"])
-    def test_line_that_is_not_an_object_raises_validation_error(self, line):
-        with pytest.raises(ValidationError):
-            decode_event(line)
+    def test_line_that_is_not_an_object_raises_validation_error(self, line, tmp_path):
+        assert_both_readers_reject(line, tmp_path)
 
 
 def numpy_categorical(weights, rng) -> int:

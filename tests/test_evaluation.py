@@ -10,7 +10,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from conftest import make_event
-from slatebandit.core import NoDataError, RewardMode, RewardSpec, Survey
+from slatebandit.core import LogColumns, NoDataError, RewardMode, RewardSpec, Survey
 from slatebandit.evaluation import (
     GateVerdict,
     MissingPropensityError,
@@ -40,7 +40,7 @@ class TestSnips:
             clicked_event("bad", Survey.NO, propensity=0.5, ts=1),
         ]
         policy = lambda ctx: {"good": 0.5, "bad": 0.5}
-        result = snips(events, policy, RewardSpec())
+        result = snips(LogColumns.from_events(events), policy, RewardSpec())
         assert_allclose(result.estimate, (2.0 - 1.0) / 3.0, rtol=1e-12)
         assert_allclose(result.logging_policy_mean, 0.0)
         # delta-method variance: sum (w (r - v))^2 / (sum w)^2
@@ -60,7 +60,7 @@ class TestSnips:
         for i, (mu, sv) in enumerate(zip(mus, surveys)):
             events.append(clicked_event(f"a{i}", sv, propensity=mu, ts=i))
         policy = lambda ctx: {f"a{i}": mus[i] for i in range(len(mus))}
-        result = snips(events, policy, RewardSpec())
+        result = snips(LogColumns.from_events(events), policy, RewardSpec())
         assert result.estimate == result.logging_policy_mean
         assert result.effective_sample_size == float(len(mus))
 
@@ -73,7 +73,7 @@ class TestSnips:
             else:
                 events.append(clicked_event("bad", Survey.NO, 0.5, ts=i))
         policy = lambda ctx: {"good": 1.0}
-        result = snips(events, policy, RewardSpec())
+        result = snips(LogColumns.from_events(events), policy, RewardSpec())
         assert result.estimate == 1.0
         assert result.logging_policy_mean == 0.0
         assert result.matched_fraction == 0.5
@@ -84,7 +84,7 @@ class TestSnips:
             make_event(ts=1, action_ids=["a", "b"], click=None),  # no click
             make_event(ts=2, action_ids=["a", "b"], click=0, survey=Survey.SKIPPED),
         ]
-        result = snips(events, lambda ctx: {"good": 1.0}, RewardSpec())
+        result = snips(LogColumns.from_events(events), lambda ctx: {"good": 1.0}, RewardSpec())
         assert result.n_usable == 1
 
     def test_direct_trigger_events_are_usable(self):
@@ -95,7 +95,7 @@ class TestSnips:
             propensity=1.0,
             with_null=False,
         )
-        result = snips([event], lambda ctx: {"solo": 0.8}, RewardSpec())
+        result = snips(LogColumns.from_events([event]), lambda ctx: {"solo": 0.8}, RewardSpec())
         assert result.estimate == 1.0
         assert result.n_usable == 1
 
@@ -107,19 +107,19 @@ class TestSnips:
             clicked_event("good", Survey.NO, None, ts=3),
         ]
         with pytest.raises(MissingPropensityError) as err:
-            snips(events, lambda ctx: {"good": 1.0}, RewardSpec())
+            snips(LogColumns.from_events(events), lambda ctx: {"good": 1.0}, RewardSpec())
         assert "2 usable events" in str(err.value)
         assert "1, 3" in str(err.value)
 
     def test_no_usable_events_raises(self):
         events = [make_event(click=None), make_event(click=0, survey=Survey.SKIPPED)]
         with pytest.raises(NoDataError):
-            snips(events, lambda ctx: {"a1": 1.0}, RewardSpec())
+            snips(LogColumns.from_events(events), lambda ctx: {"a1": 1.0}, RewardSpec())
 
     def test_disjoint_target_policy_raises(self):
         events = [clicked_event("good", Survey.YES, 0.5)]
         with pytest.raises(NoDataError):
-            snips(events, lambda ctx: {"elsewhere": 1.0}, RewardSpec())
+            snips(LogColumns.from_events(events), lambda ctx: {"elsewhere": 1.0}, RewardSpec())
 
     def test_escalation_penalty_flows_through_the_reward_spec(self):
         events = [
@@ -135,7 +135,7 @@ class TestSnips:
         spec = RewardSpec(
             mode=RewardMode.SURVEY_AND_ESCALATION, escalation_weight=-2.0
         )
-        result = snips(events, lambda ctx: {"a": 0.5}, spec)
+        result = snips(LogColumns.from_events(events), lambda ctx: {"a": 0.5}, spec)
         assert result.estimate == -3.0
 
 
@@ -148,11 +148,11 @@ class TestRateEstimators:
             make_event(ts=3, click=0, survey=Survey.SKIPPED),
             make_event(ts=4, click=None),
         ]
-        assert_allclose(prr_hat(events), 2.0 / 3.0, rtol=1e-12)
+        assert_allclose(prr_hat(LogColumns.from_events(events)), 2.0 / 3.0, rtol=1e-12)
 
     def test_no_answered_surveys_yields_none(self):
         events = [make_event(click=0, survey=Survey.SKIPPED), make_event(click=None)]
-        assert prr_hat(events) is None
+        assert prr_hat(LogColumns.from_events(events)) is None
 
     def test_escalation_share(self):
         events = [
@@ -161,11 +161,11 @@ class TestRateEstimators:
             make_event(ts=2, click=None),
             make_event(ts=3, click=None),
         ]
-        assert_allclose(eas_hat(events), 0.25)
+        assert_allclose(eas_hat(LogColumns.from_events(events)), 0.25)
 
     def test_escalation_share_needs_events(self):
         with pytest.raises(NoDataError):
-            eas_hat([])
+            eas_hat(LogColumns.from_events([]))
 
 
 def ope(estimate=0.5, logging=0.2, ess=500.0, variance=0.01):

@@ -13,14 +13,16 @@ from slatebandit.core import (
     Action,
     Context,
     Feedback,
+    LogColumns,
     LoggedEvent,
     NoDataError,
     RewardSpec,
     Slate,
     Survey,
     ValidationError,
-    attributed_rewards,
+    attributed_action,
     null_item,
+    reward_of,
 )
 from slatebandit.features import (
     TRANSFORM_MEMO_SIZE,
@@ -185,29 +187,31 @@ class TestTrainingPairs:
             make_event(action_ids=["a1", "a2"], click=0, survey=Survey.SKIPPED),
             make_event(action_ids=["a1", "a2"], click=None),
         ]
-        x, y = training_pairs(events, RewardSpec(), self._spec())
+        x, y = training_pairs(LogColumns.from_events(events), RewardSpec(), self._spec())
         assert x.shape == (1, self._spec().dim)
         assert_allclose(y, [1.0])
 
     def test_null_click_survey_excluded(self):
         # a free-typed answer grades the null slot, which has no features
         events = [make_event(action_ids=["a1"], click=1, survey=Survey.NO)]
-        x, y = training_pairs(events, RewardSpec(), self._spec())
+        x, y = training_pairs(LogColumns.from_events(events), RewardSpec(), self._spec())
         assert len(y) == 0
 
     def test_no_returns_negative_reward(self):
         events = [make_event(action_ids=["a1", "a2"], click=1, survey=Survey.NO)]
-        _, y = training_pairs(events, RewardSpec(), self._spec())
+        _, y = training_pairs(LogColumns.from_events(events), RewardSpec(), self._spec())
         assert_allclose(y, [-1.0])
 
 
 def reference_training_pairs(events, reward_spec, featurizer):
-    """``training_pairs`` without its memo: every row featurized on its own."""
-    rows = [
-        (featurize(featurizer, event.context, action), reward)
-        for _, event, action, reward in attributed_rewards(events, reward_spec)
-        if not action.is_null_item
-    ]
+    """``training_pairs`` without its memo or the columns: every row
+    featurized on its own, from the events through the per-event rules."""
+    rows = []
+    for event in events:
+        reward = reward_of(event.feedback, reward_spec)
+        action = attributed_action(event)
+        if reward is not None and action is not None and not action.is_null_item:
+            rows.append((featurize(featurizer, event.context, action), reward))
     return np.asarray([x for x, _ in rows]), np.asarray([y for _, y in rows])
 
 
@@ -255,7 +259,7 @@ class TestTrainingPairsMemo:
     def test_bit_equal_to_featurizing_every_row(self):
         events = self._log()
         spec = self._spec(HashingEmbedder(dim=8, seed=2))
-        x, y = training_pairs(events, RewardSpec(), spec)
+        x, y = training_pairs(LogColumns.from_events(events), RewardSpec(), spec)
         ref_x, ref_y = reference_training_pairs(events, RewardSpec(), spec)
         assert len(y) > 100
         assert x.dtype == ref_x.dtype and x.shape == ref_x.shape
@@ -265,7 +269,7 @@ class TestTrainingPairsMemo:
     def test_each_distinct_row_is_embedded_once(self):
         events = self._log()
         embedder = CountingEmbedder(dim=8, seed=2)
-        x, _ = training_pairs(events, RewardSpec(), self._spec(embedder))
+        x, _ = training_pairs(LogColumns.from_events(events), RewardSpec(), self._spec(embedder))
         distinct = len(np.unique(x, axis=0))
         assert distinct < len(x) / 4
         assert embedder.calls == 2 * distinct
@@ -319,25 +323,29 @@ class TestTrain:
                 policy_tag=event.policy_tag,
             )
             events.append(event)
-        fm = train(events, RewardSpec(), spec, TrainConfig(hidden_sizes=(8,), epochs=40, seed=0))
+        fm = train(
+            LogColumns.from_events(events), RewardSpec(), spec,
+            TrainConfig(hidden_sizes=(8,), epochs=40, seed=0),
+        )
         assert len(fm.epoch_losses) == 40
         assert fm.epoch_losses[-1] < 0.1 * fm.epoch_losses[0]
 
     def test_training_is_seed_deterministic(self):
         cfg = TrainConfig(hidden_sizes=(6,), epochs=5, seed=9)
-        a = train(self._events(), RewardSpec(), self._spec(), cfg)
-        b = train(self._events(), RewardSpec(), self._spec(), cfg)
+        a = train(LogColumns.from_events(self._events()), RewardSpec(), self._spec(), cfg)
+        b = train(LogColumns.from_events(self._events()), RewardSpec(), self._spec(), cfg)
         for wa, wb in zip(a.weights, b.weights):
             assert_allclose(wa, wb)
         assert a.epoch_losses == b.epoch_losses
 
     def test_empty_log_raises(self):
         with pytest.raises(NoDataError):
-            train([], RewardSpec(), self._spec(), TrainConfig())
+            train(LogColumns.from_events([]), RewardSpec(), self._spec(), TrainConfig())
 
     def test_transform_width_matches_last_hidden_layer(self):
         fm = train(
-            self._events(20), RewardSpec(), self._spec(), TrainConfig(hidden_sizes=(7, 3), epochs=2)
+            LogColumns.from_events(self._events(20)), RewardSpec(), self._spec(),
+            TrainConfig(hidden_sizes=(7, 3), epochs=2),
         )
         assert fm.dim == 3
         phi = fm.transform(Context(context_id="c", query="help"), Action(action_id="a1"))
@@ -425,7 +433,9 @@ class TestFeatureMapSnapshot:
             for i in range(10)
         ]
         spec = FeaturizerSpec(embedding=HashingEmbedder(dim=4, seed=2))
-        fm = train(events, RewardSpec(), spec, TrainConfig(hidden_sizes=(5,), epochs=3))
+        fm = train(
+            LogColumns.from_events(events), RewardSpec(), spec, TrainConfig(hidden_sizes=(5,), epochs=3)
+        )
         path = tmp_path / "fm.json"
         save_feature_map(fm, path)
         loaded = load_feature_map(path)
@@ -440,7 +450,9 @@ class TestFeatureMapSnapshot:
     def test_snapshot_survives_second_save(self, tmp_path):
         events = [make_event(ts=0, action_ids=["a1"], click=0, survey=Survey.YES)]
         spec = FeaturizerSpec(embedding=HashingEmbedder(dim=2))
-        fm = train(events, RewardSpec(), spec, TrainConfig(hidden_sizes=(3,), epochs=1))
+        fm = train(
+            LogColumns.from_events(events), RewardSpec(), spec, TrainConfig(hidden_sizes=(3,), epochs=1)
+        )
         save_feature_map(fm, tmp_path / "one.json")
         save_feature_map(load_feature_map(tmp_path / "one.json"), tmp_path / "two.json")
         assert (tmp_path / "one.json").read_bytes() == (tmp_path / "two.json").read_bytes()

@@ -7,8 +7,13 @@ a change that moves them on purpose has to say why and pin new values.
 
 Every run's event log also goes through ``check_log``: an interned read of
 the whole log must equal a fresh decode of each line and the events the run
-served, each line must be the reference v2 encoding of its event, and the
-event's v1 line must decode to the same event and re-encode to the v2 line.
+served, the log's columns must equal those of the served events, each line
+must be the reference v2 encoding of its event, and the event's v1 line must
+decode to the same event and re-encode to the v2 line.
+
+The offline stages' ``--out`` JSON (``evaluate`` and ``report``) is pinned
+too, over the uniform log of the learned-feature pipeline and over the
+``cli_mab`` log (``report`` only: that log has no propensities).
 
 The runs are small (a few hundred to a thousand events each) and cover the
 CLI ``simulate`` outputs for the discrete and uniform policies with free-text
@@ -29,11 +34,13 @@ from slatebandit.cli import EXIT_OK, main
 from slatebandit.core import (
     Action,
     EventLog,
+    LogColumns,
     RewardSpec,
     Slate,
     decode_event,
     encode_event,
     null_item,
+    read_columns,
 )
 from slatebandit.expansion import ExpansionConfig
 from slatebandit.sim import (
@@ -131,6 +138,14 @@ PINNED = {
         "head.json": "5f065b8f9ced3b46a9b326064270aacbf41a60e8865fa68d17fd695052492ad7",
         "events.jsonl": "cd020ad139dedadccf873eae8e7aadb3dc645321676006751ce598c204520de5",
     },
+    # the offline stages' JSON, over the logs the two CLI runs above write
+    "cli_learned_features_offline": {
+        "evaluate.json": "3c9df11cce5b4e826332d6dc279a4da76bf24ce912e1a565265b45d4d68da913",
+        "report.json": "ef5a3421800a661a1559d0b3920ae1a8ab3cccb6b81b2d267cf361d1a002e7ef",
+    },
+    "cli_mab_offline": {
+        "report.json": "2d3baa27cd57af39313c22ace861b275c380344d2dc8c7730dceeaf7dd62ca6f",
+    },
     "nlb_ews": {
         "events": "1d3e6dd69fd7d423d5e55c901b924f0b77f3f30c379022f9b44925948872d90e",
         "metrics.csv": "f4d077cacb61dd7d4b30e2bd14eef88b66863d209377ea366b28a2e96bf7ba69",
@@ -153,6 +168,7 @@ def check_log(path, served) -> None:
     lines = text.splitlines()
     replayed = EventLog(path).read_all()
     assert replayed == [decode_event(line) for line in lines] == served
+    assert read_columns(path) == LogColumns.from_events(served)
     assert "".join(encode_event(e) + "\n" for e in replayed) == text
     assert lines == [encode_v2(e) for e in served]
     for event, line in zip(served, lines):
@@ -193,6 +209,28 @@ def cli_digests(tmp_path, served_runs, policy: str, extra: list[str]) -> dict[st
     }
 
 
+# a fixed target for ``evaluate`` over the golden world's contexts
+TARGET = {
+    "account": {"acc_reset": 0.7, "acc_2fa": 0.3},
+    "billing": {"bil_charge": 1.0},
+    "*": {"del_track": 0.8, "__null__": 0.2},
+}
+
+
+def offline_digests(tmp_path, log, stages) -> dict[str, str]:
+    """SHA-256 of the ``--out`` JSON of each offline stage in ``stages``
+    (``evaluate`` against ``TARGET``, ``report``) over ``log``."""
+    target = tmp_path / "target.json"
+    target.write_text(json.dumps(TARGET))
+    got = {}
+    for stage in stages:
+        out = tmp_path / f"{stage}.json"
+        extra = ["--target", str(target)] if stage == "evaluate" else []
+        assert main([stage, "--log", str(log), "--out", str(out), *extra]) == EXIT_OK
+        got[out.name] = sha256(out.read_bytes())
+    return got
+
+
 def run_digests(tmp_path, result) -> dict[str, str]:
     events = "".join(encode_event(e) + "\n" for e in result.events)
     (tmp_path / "events.jsonl").write_text(events, encoding="utf-8")
@@ -206,6 +244,8 @@ def test_cli_simulate_mab(tmp_path, served_runs):
     extra = ["--direct-trigger", "--direct-trigger-margin", "0.3"]
     got = cli_digests(tmp_path, served_runs, "mab", extra)
     assert got == PINNED["cli_mab"]
+    log = tmp_path / "mab" / "events.jsonl"
+    assert offline_digests(tmp_path, log, ["report"]) == PINNED["cli_mab_offline"]
 
 
 def test_cli_simulate_uniform(tmp_path, served_runs):
@@ -298,3 +338,5 @@ def test_cli_learned_feature_pipeline(tmp_path, served_runs):
         "events.jsonl": sha256(served.read_bytes()),
     }
     assert got == PINNED["cli_learned_features"]
+    offline = offline_digests(tmp_path, log, ["evaluate", "report"])
+    assert offline == PINNED["cli_learned_features_offline"]

@@ -16,6 +16,7 @@ from slatebandit.core import (
     Action,
     Context,
     EventLog,
+    LogColumns,
     RewardSpec,
     Slate,
     Survey,
@@ -730,7 +731,7 @@ class TestKpiCounters:
             # escalation cancels handled
             make_event(ts=5, action_ids=["a"], click=0, survey=Survey.YES, escalation=True),
         ]
-        kpis = kpi_counters(events)
+        kpis = kpi_counters(LogColumns.from_events(events))
         assert_allclose(kpis["handled_share"], 2.0 / 6.0)
         assert_allclose(kpis["engagement"], 5.0 / 6.0)
 
@@ -738,12 +739,13 @@ class TestKpiCounters:
         event = make_event(
             action_ids=["solo"], click=None, survey=Survey.YES, with_null=False
         )
-        kpis = kpi_counters([event])
+        kpis = kpi_counters(LogColumns.from_events([event]))
         assert kpis["handled_share"] == 1.0
         assert kpis["engagement"] == 1.0
 
     def test_empty_input_is_all_zero(self):
-        assert kpi_counters([]) == {"handled_share": 0.0, "engagement": 0.0}
+        empty = LogColumns.from_events([])
+        assert kpi_counters(empty) == {"handled_share": 0.0, "engagement": 0.0}
 
 
 class TestMetricsCsv:
