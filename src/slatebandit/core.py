@@ -8,9 +8,13 @@ serialized form are part of the contract and must not drift.
 from __future__ import annotations
 
 import contextlib
+import hashlib
+import io
 import json
 import os
 import uuid
+import zipfile
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
@@ -352,20 +356,25 @@ def categorical(weights, rng: np.random.Generator) -> int:
     return min(bisect_right(edges, u), len(edges) - 1)
 
 
-def atomic_write(path: str | os.PathLike, text: str) -> None:
-    """Replace ``path`` with ``text`` so a reader sees the old file or the new
-    one, never a torn one.
+def atomic_write(path: str | os.PathLike, data: str | bytes) -> None:
+    """Replace ``path`` with ``data`` (text, or bytes written as given) so a
+    reader sees the old file or the new one, never a torn one.
 
-    The text goes to a uniquely named temp file beside the target, is synced
+    The data goes to a uniquely named temp file beside the target, is synced
     to disk and renamed over it; on any failure the temp file is removed and
-    the target is left as it was. Line endings are written as given, and the
-    file gets the mode a plain ``open(path, "w")`` would give it.
+    the target is left as it was. Text is written as UTF-8 with its line
+    endings as given, and the file gets the mode a plain ``open(path, "w")``
+    would give it.
     """
     path = os.fspath(path)
     tmp = f"{path}.{uuid.uuid4().hex}.tmp"
+    if isinstance(data, bytes):
+        opened = open(tmp, "xb")
+    else:
+        opened = open(tmp, "x", encoding="utf-8", newline="")
     try:
-        with open(tmp, "x", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        with opened as fh:
+            fh.write(data)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
@@ -555,15 +564,8 @@ def _lines(path: str | os.PathLike) -> Iterator[str]:
                 yield line
 
 
-def read_columns(path: str | os.PathLike) -> LogColumns:
-    """The log at ``path`` as columns, read in one pass, blank lines skipped.
-
-    Each line goes through the same validator as ``decode_event``, so a log
-    ``EventLog.read_all`` rejects is rejected here too, with ValidationError.
-    Slate items are interned for the pass, as in ``EventLog.replay``; the
-    parsed line is dropped once its columns are taken, and no event object
-    is built.
-    """
+def _parse_columns(path: str | os.PathLike) -> LogColumns:
+    """The JSONL at ``path`` as columns, read in one validating pass."""
     interned: dict = {}
     ts, contexts, slates, clicks, surveys, escalations, propensities = [], [], [], [], [], [], []
     for line in _lines(path):
@@ -586,38 +588,316 @@ def read_columns(path: str | os.PathLike) -> LogColumns:
     )
 
 
+def read_columns(path: str | os.PathLike) -> LogColumns:
+    """The log at ``path`` as columns, blank lines skipped.
+
+    When the log has a column sidecar (see ``EventLog``) whose header names
+    the log's byte size and SHA-256, the columns come from the sidecar and
+    the JSONL is not parsed. The sidecar's contexts and items go through the
+    same decoders as a line's, so the columns equal those of the JSONL,
+    JSON types included. A sidecar that matches but fails its own checks, or
+    that cannot be read at all, is a ValidationError, never a silent
+    fallback.
+
+    Otherwise (no sidecar, or one written for other bytes or in another
+    format version) the JSONL is read in one pass, each line through the
+    same validator as ``decode_event``, so a log ``EventLog.read_all``
+    rejects is rejected here too, with ValidationError. Slate items are interned for the pass, as in
+    ``EventLog.replay``; the parsed line is dropped once its columns are
+    taken, and no event object is built.
+    """
+    columns = _sidecar_columns(os.fspath(path))
+    return _parse_columns(path) if columns is None else columns
+
+
+# The column sidecar of a log: ``<log>.cols.npz``, an uncompressed numpy
+# archive loaded without pickle. ``header`` holds UTF-8 JSON (format version,
+# the log's byte size and SHA-256, and the distinct contexts and slate items
+# as their ``to_dict()``); the other members are one entry per row, except
+# ``items`` (every slate's item-table indices, end to end) and ``offsets``
+# (row i's items are ``items[offsets[i]:offsets[i + 1]]``).
+SIDECAR_VERSION = 1
+_SIDECAR_ARRAYS = {
+    "ts": np.int64,
+    "context": np.int32,  # context-table index
+    "items": np.int32,
+    "offsets": np.int64,
+    "click": np.int32,  # -1 for none
+    "survey": np.int8,  # index into _SURVEY_ORDER
+    "escalation": np.int8,
+    "propensity": np.float64,
+    "has_propensity": np.int8,  # 0 where none was logged
+}
+_SURVEY_ORDER = (Survey.YES, Survey.NO, Survey.SKIPPED)
+_SURVEY_CODES = {survey: code for code, survey in enumerate(_SURVEY_ORDER)}
+
+
+def sidecar_path(path: str | os.PathLike) -> str:
+    """Where the column sidecar of the log at ``path`` lives."""
+    return os.fspath(path) + ".cols.npz"
+
+
+def _file_sha256(path: str) -> str:
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(chunk)
+    return digest.hexdigest()
+
+
+class _Inexact(Exception):
+    """A logged value the sidecar cannot hold as the JSONL reader gives it."""
+
+
+def _plain(record: dict) -> bool:
+    """True when ``record`` (a ``to_dict()``) holds a string id and, besides
+    it, only strings, None and dicts of strings: fields whose equality is
+    equality of their JSON."""
+    if type(record["id"]) is not str:
+        return False
+    for value in record.values():
+        if type(value) is dict:
+            if not all(type(k) is str and type(v) is str for k, v in value.items()):
+                return False
+        elif value is not None and type(value) is not str:
+            return False
+    return True
+
+
+class _ColumnWriter:
+    """The columns of the lines one ``with log:`` scope appends to an empty
+    log, with their byte count and running SHA-256; ``sidecar()`` is the
+    sidecar file they make.
+
+    Contexts and slate items are kept once each, in tables of their
+    ``to_dict()``. A row's entry is found by its fields when those are all
+    strings (a string equals only a string, so equal fields mean equal
+    JSON), else by its JSON text.
+    """
+
+    def __init__(self) -> None:
+        for name, dtype in _SIDECAR_ARRAYS.items():
+            # numpy's type character names the same C type to ``array``
+            setattr(self, name, array(np.dtype(dtype).char))
+        self.offsets.append(0)
+        self.context_index: dict = {}
+        self.item_index: dict = {}
+        self.context_table: list[dict] = []
+        self.item_table: list[dict] = []
+        self.digest = hashlib.sha256()
+        self.size = 0
+
+    @staticmethod
+    def _entry(index: dict, table: list[dict], key: tuple, obj) -> int:
+        try:
+            found = index.get(key)
+        except TypeError:  # an unhashable field, a list say
+            found = None
+        if found is None:
+            record = obj.to_dict()
+            if not _plain(record):
+                if type(record["id"]) is not str:
+                    raise _Inexact("ids must be strings")
+                text = json.dumps(record, sort_keys=True, separators=(",", ":"))
+                key, record = (text,), json.loads(text)
+                found = index.get(key)
+            if found is None:
+                found = index[key] = len(table)
+                table.append(record)
+        return found
+
+    def add(self, event: LoggedEvent, line: bytes) -> None:
+        """Take the columns of ``event``, whose log line is ``line``."""
+        feedback = event.feedback
+        propensity = event.propensity
+        # what the JSONL reader would reject or give back as another type
+        if (
+            type(feedback.escalation) is not bool
+            or not isinstance(event.policy_tag, str)
+            or not (propensity is None or isinstance(propensity, float))
+        ):
+            raise _Inexact("a field the JSONL reader would not give back as logged")
+        context = event.context
+        self.context.append(self._entry(
+            self.context_index, self.context_table,
+            (context.context_id, context.query, *context.features.items()), context,
+        ))
+        for action in event.slate.items:
+            self.items.append(self._entry(
+                self.item_index, self.item_table,
+                (action.action_id, action.title, *action.features.items()), action,
+            ))
+        self.offsets.append(len(self.items))
+        self.ts.append(event.ts)
+        self.click.append(-1 if feedback.click is None else feedback.click)
+        self.survey.append(_SURVEY_CODES[feedback.survey])
+        self.escalation.append(feedback.escalation)
+        self.propensity.append(0.0 if propensity is None else propensity)
+        self.has_propensity.append(propensity is not None)
+        self.digest.update(line)
+        self.size += len(line)
+
+    def sidecar(self) -> bytes:
+        """The sidecar's bytes; the same columns always give the same bytes."""
+        header = {
+            "version": SIDECAR_VERSION,
+            "size": self.size,
+            "sha256": self.digest.hexdigest(),
+            "contexts": self.context_table,
+            "items": self.item_table,
+        }
+        text = json.dumps(header, sort_keys=True, separators=(",", ":"))
+        buffer = io.BytesIO()
+        np.savez(
+            buffer,
+            header=np.frombuffer(text.encode(), dtype=np.uint8),
+            **{name: np.frombuffer(getattr(self, name), dtype=dtype)
+               for name, dtype in _SIDECAR_ARRAYS.items()},
+        )
+        return buffer.getvalue()
+
+
+_UNREADABLE = (OSError, EOFError, LookupError, TypeError, ValueError, zipfile.BadZipFile)
+
+
+def _sidecar_columns(path: str) -> LogColumns | None:
+    """The columns of the sidecar of the log at ``path``; None when there is
+    none, or its format version or the bytes it was written for differ from
+    the log's."""
+    try:
+        with open(sidecar_path(path), "rb") as fh:
+            archive = np.load(fh, allow_pickle=False)
+            header = json.loads(archive["header"].tobytes())
+            if header["version"] != SIDECAR_VERSION:
+                return None
+            size, sha256 = header["size"], header["sha256"]
+            arrays = {name: archive[name] for name in _SIDECAR_ARRAYS}
+    except FileNotFoundError:
+        return None
+    except _UNREADABLE as exc:
+        raise ValidationError(f"unreadable column sidecar: {exc!r}") from exc
+    if size != os.path.getsize(path) or sha256 != _file_sha256(path):
+        return None
+    try:
+        contexts = [_decode_context(d) for d in header["contexts"]]
+        actions = [_decode_action(d, None, True) for d in header["items"]]
+        return _checked_columns(arrays, contexts, actions)
+    except ValidationError:
+        raise
+    except _UNREADABLE as exc:
+        raise ValidationError(f"malformed column sidecar: {exc!r}") from exc
+
+
+def _checked_columns(
+    arrays: dict[str, np.ndarray], contexts: list[Context], actions: list[Action]
+) -> LogColumns:
+    """The columns ``arrays`` index into ``contexts`` and ``actions``, after
+    vectorised checks of their shape; ValidationError when one fails."""
+
+    def require(ok, what: str) -> None:
+        if not ok:
+            raise ValidationError(f"malformed column sidecar: {what}")
+
+    for name, dtype in _SIDECAR_ARRAYS.items():
+        require(arrays[name].dtype == dtype and arrays[name].ndim == 1, f"{name!r} has a wrong type")
+    ts, context, items, offsets, click, survey, escalation, propensity, has_propensity = (
+        arrays[name] for name in _SIDECAR_ARRAYS
+    )
+    n = len(ts)
+    require(
+        all(len(a) == n for a in (context, click, survey, escalation, propensity, has_propensity))
+        and len(offsets) == n + 1,
+        "column lengths disagree",
+    )
+    lengths = np.diff(offsets)
+    require(offsets[0] == 0 and offsets[-1] == len(items) and np.all(lengths >= 0),
+            "slate offsets are not monotone")
+    require(np.all((context >= 0) & (context < len(contexts))), "a context index is out of range")
+    require(np.all((items >= 0) & (items < len(actions))), "an item index is out of range")
+    require(np.all((click >= -1) & (click < lengths)), "a click lies outside its slate")
+    require(np.all((survey >= 0) & (survey < len(_SURVEY_ORDER))), "a survey code is out of range")
+    require(np.all((escalation == 0) | (escalation == 1)), "an escalation is not 0 or 1")
+    require(np.all((has_propensity == 0) | (has_propensity == 1)), "a propensity mask is not 0 or 1")
+    require(np.all((has_propensity == 0) | ((propensity > 0) & (propensity <= 1))),
+            "a propensity lies outside (0, 1]")
+    rows = np.repeat(np.arange(n), lengths)
+    is_null = np.array([a.is_null_item for a in actions], dtype=bool)
+    require(np.all(np.bincount(rows, weights=is_null[items], minlength=n) <= 1),
+            "a slate holds more than one null item")
+    codes: dict = {}
+    id_code = np.array([codes.setdefault(a.action_id, len(codes)) for a in actions], dtype=np.int64)
+    pairs = np.sort(rows * max(len(codes), 1) + id_code[items])
+    require(np.all(pairs[1:] != pairs[:-1]), "a slate holds a duplicate action")
+
+    row_items, bounds, action_at = items.tolist(), offsets.tolist(), actions.__getitem__
+    return LogColumns(
+        ts=ts.tolist(),
+        contexts=[contexts[i] for i in context.tolist()],
+        slates=[tuple(map(action_at, row_items[a:b])) for a, b in zip(bounds, bounds[1:])],
+        click=[None if c < 0 else c for c in click.tolist()],
+        survey=[_SURVEY_ORDER[code] for code in survey.tolist()],
+        escalation=escalation.astype(bool).tolist(),
+        propensity=[p if has else None for p, has in zip(propensity.tolist(), has_propensity.tolist())],
+    )
+
+
 class EventLog:
-    """Append-only JSONL event log.
+    """Append-only JSONL event log, with a column sidecar for the lines one
+    scope writes.
 
     Each append is one write plus one flush. Inside ``with log:`` appends go
     through one handle held open for the scope; outside one, each append
     opens and closes the file. Replay yields events in append order so a
     reader that consumes the file in one pass sees each event exactly once.
+
+    Opening a scope removes the log's sidecar (``sidecar_path``). When the
+    scope opens the log empty, it also keeps each appended line's columns
+    and a running SHA-256 of the bytes it writes, and a clean exit writes
+    them to the sidecar through ``atomic_write``; ``read_columns`` then
+    reads the columns from it instead of parsing the JSONL. No sidecar is
+    written for a log that already had lines, for a scope that raised, or
+    when an event holds a value the sidecar cannot give back exactly as the
+    JSONL reader would (a non-string id, a non-boolean escalation, an
+    integer propensity). The sidecar is an advisory cache: deleting it is
+    always safe.
     """
 
     def __init__(self, path: str | os.PathLike) -> None:
         self.path = os.fspath(path)
         self._fh = None
+        self._columns: _ColumnWriter | None = None
 
     def __enter__(self) -> "EventLog":
         if self._fh is not None:
             raise ValueError("event log is already open")
-        self._fh = open(self.path, "a", encoding="utf-8")
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(sidecar_path(self.path))
+        self._fh = open(self.path, "ab")
+        if os.fstat(self._fh.fileno()).st_size == 0:
+            self._columns = _ColumnWriter()
         return self
 
-    def __exit__(self, *exc_info) -> None:
+    def __exit__(self, exc_type, *exc_info) -> None:
         fh, self._fh = self._fh, None
+        columns, self._columns = self._columns, None
         fh.close()
+        if exc_type is None and columns is not None:
+            atomic_write(sidecar_path(self.path), columns.sidecar())
 
     def append(self, event: LoggedEvent) -> None:
-        line = encode_event(event) + "\n"
-        if self._fh is not None:
-            self._fh.write(line)
-            self._fh.flush()
+        line = (encode_event(event) + "\n").encode()
+        if self._fh is None:
+            with open(self.path, "ab") as fh:
+                fh.write(line)
+                fh.flush()
             return
-        with open(self.path, "a", encoding="utf-8") as fh:
-            fh.write(line)
-            fh.flush()
+        self._fh.write(line)
+        self._fh.flush()
+        if self._columns is not None:
+            try:
+                self._columns.add(event, line)
+            except (_Inexact, AttributeError, OverflowError, TypeError):
+                self._columns = None
 
     def replay(self) -> Iterator[LoggedEvent]:
         """Events in append order, blank lines skipped.

@@ -227,27 +227,25 @@ def ews_sample(
 
 def ts_sample(
     head: BanditHead,
-    candidates: Sequence[tuple[str, np.ndarray]],
+    phis: Sequence[np.ndarray],
     prior_scale: float,
     rng: np.random.Generator,
-) -> tuple[int, np.ndarray]:
-    """Rank candidates under one posterior draw of the weight vector.
+) -> np.ndarray:
+    """Each candidate's score under one posterior draw of the weight vector.
 
     The weight perturbation has covariance prior_scale * inv(design) in the
-    retained subspace. Returns the argmax index (score ties broken by action
-    id) and each candidate's sampled score; one draw ranks the whole slate.
+    retained subspace. One draw scores every candidate feature vector in
+    ``phis``; the caller ranks them (``mab.rank_by_score``).
     """
     if prior_scale <= 0:
         raise ValidationError("prior_scale must be positive")
-    if not len(candidates):
+    if not len(phis):
         raise NoDataError("no candidates")
     z = rng.standard_normal(head.rank)
     sampled_weights = head.weights + np.sqrt(prior_scale) * (
         head.basis @ ((1.0 / np.sqrt(head.eigenvalues)) * z)
     )
-    scores = np.array([float(sampled_weights @ phi) for _, phi in candidates])
-    best = min(range(len(candidates)), key=lambda i: (-scores[i], candidates[i][0]))
-    return best, scores
+    return np.array([float(sampled_weights @ phi) for phi in phis])
 
 
 def save_head(head: BanditHead, path: str | os.PathLike) -> None:

@@ -426,8 +426,7 @@ class NlbPolicy(BasePolicy):
         actions = _pool(candidates)
         pairs = [(a, np.asarray(self.feature_fn(context, a), dtype=float)) for a in actions]
         if self.sampler == "ts":
-            keyed = [(a.action_id, phi) for a, phi in pairs]
-            _, scores = linear.ts_sample(self.head, keyed, self.prior_scale, rng)
+            scores = linear.ts_sample(self.head, [phi for _, phi in pairs], self.prior_scale, rng)
             return _serve_by_score(actions, scores, self.slate_config)
         remaining = list(pairs)
         scored = []

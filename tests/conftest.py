@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
+
 from slatebandit.core import (
     NULL_ACTION_TITLE,
     Action,
@@ -13,6 +15,7 @@ from slatebandit.core import (
     Slate,
     Survey,
     null_item,
+    sidecar_path,
 )
 
 
@@ -98,3 +101,15 @@ def encode_v2(event: LoggedEvent) -> str:
         if record[name] is None:
             del record[name]
     return json.dumps(record, sort_keys=True, separators=(",", ":"))
+
+
+def edit_sidecar(path, **changes) -> None:
+    """Rewrite the column sidecar of the log at ``path`` with each named
+    member replaced by ``change(member)``. The header is kept, so the
+    sidecar still matches the log."""
+    side = sidecar_path(path)
+    with np.load(side, allow_pickle=False) as archive:
+        members = {name: archive[name] for name in archive.files}
+    for name, change in changes.items():
+        members[name] = change(members[name].copy())
+    np.savez(side, **members)

@@ -5,15 +5,16 @@ asserted directly.
 """
 
 import json
+import os
 import re
 
 import numpy as np
 import pytest
 
-from conftest import make_event
+from conftest import edit_sidecar, make_event
 from slatebandit import core
 from slatebandit.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
-from slatebandit.core import NULL_ACTION_ID, EventLog, RewardSpec, Survey
+from slatebandit.core import NULL_ACTION_ID, EventLog, RewardSpec, Survey, sidecar_path
 from slatebandit.features import load_feature_map
 from slatebandit.linear import fit, load_head
 from slatebandit.mab import ContextBank, save_bank
@@ -246,19 +247,73 @@ class TestPipeline:
             raise AssertionError("decode_event called")
 
         monkeypatch.setattr(core, "decode_event", no_decode)
-        for argv in (
-            ["train-repr", "--log", str(log), "--out", str(fm_path), "--seed", "4",
-             "--hidden", "8", "--epochs", "2", "--embedding-dim", "4"],
-            ["fit-bandit", "--log", str(log), "--features", str(fm_path),
-             "--out", str(tmp_path / "head.json")],
-            ["evaluate", "--log", str(log), "--target", str(target),
-             "--out", str(tmp_path / "eval.json")],
-            ["report", "--log", str(log), "--out", str(tmp_path / "report.json")],
-        ):
-            assert main(argv) == EXIT_OK
+        # once from the column sidecar, once parsing the JSONL without it
+        for remove_sidecar in (False, True):
+            if remove_sidecar:
+                os.remove(sidecar_path(log))
+            for argv in (
+                ["train-repr", "--log", str(log), "--out", str(fm_path), "--seed", "4",
+                 "--hidden", "8", "--epochs", "2", "--embedding-dim", "4"],
+                ["fit-bandit", "--log", str(log), "--features", str(fm_path),
+                 "--out", str(tmp_path / "head.json")],
+                ["evaluate", "--log", str(log), "--target", str(target),
+                 "--out", str(tmp_path / "eval.json")],
+                ["report", "--log", str(log), "--out", str(tmp_path / "report.json")],
+            ):
+                assert main(argv) == EXIT_OK
         assert built == []
         make_event()  # the counters do count
         assert built == ["Slate", "Feedback", "LoggedEvent"]
+
+    def offline_stages(self, tmp_path, log, out) -> list[list[str]]:
+        """The four offline stages over ``log``, each writing its ``--out``
+        into the directory ``out``."""
+        target = tmp_path / "target.json"
+        target.write_text(json.dumps({"c0": {"a_good": 1.0}}))
+        out.mkdir()
+        return [
+            ["train-repr", "--log", str(log), "--out", str(out / "fmap.json"), "--seed", "4",
+             "--hidden", "8", "--epochs", "2", "--embedding-dim", "4"],
+            ["fit-bandit", "--log", str(log), "--features", str(out / "fmap.json"),
+             "--out", str(out / "head.json")],
+            ["evaluate", "--log", str(log), "--target", str(target),
+             "--out", str(out / "eval.json")],
+            ["report", "--log", str(log), "--out", str(out / "report.json")],
+        ]
+
+    def test_offline_stages_parse_no_line_beside_a_matching_sidecar(self, tmp_path, monkeypatch):
+        log = self.simulate(tmp_path) / "events.jsonl"
+        assert os.path.exists(sidecar_path(log))
+
+        def no_parse(*args, **kwargs):
+            raise AssertionError("a log line was parsed")
+
+        monkeypatch.setattr(core, "_read_line", no_parse)
+        for argv in self.offline_stages(tmp_path, log, tmp_path / "from_sidecar"):
+            assert main(argv) == EXIT_OK
+        monkeypatch.undo()
+        # without the sidecar every stage parses the JSONL, to the same bytes
+        os.remove(sidecar_path(log))
+        for argv in self.offline_stages(tmp_path, log, tmp_path / "from_jsonl"):
+            assert main(argv) == EXIT_OK
+        for name in ("fmap.json", "head.json", "eval.json", "report.json"):
+            from_sidecar = (tmp_path / "from_sidecar" / name).read_bytes()
+            assert from_sidecar == (tmp_path / "from_jsonl" / name).read_bytes(), name
+
+    def test_simulate_twice_into_one_out_leaves_the_second_logs_sidecar(self, tmp_path):
+        world = write_world(tmp_path / "world.json")
+        out = tmp_path / "run"
+        log = out / "events.jsonl"
+        for seed, horizon in (("1", "120"), ("2", "80")):
+            argv = ["simulate", "--world", str(world), "--out", str(out), "--seed", seed,
+                    "--horizon", horizon, "--policy", "uniform"]
+            assert main(argv) == EXIT_OK
+        assert sorted(os.listdir(out)) == [
+            "events.jsonl", "events.jsonl.cols.npz", "metrics.csv", "summary.json"
+        ]
+        from_sidecar = core._sidecar_columns(str(log))
+        assert from_sidecar is not None and len(from_sidecar) == 80
+        assert from_sidecar == core._parse_columns(log)
 
     def test_offline_head_matches_the_online_fold_of_the_same_log(self, tmp_path):
         # Free-text turns attribute surveys to the null slot; the online
@@ -491,6 +546,29 @@ class TestExitCodes:
         lines[7] = edited
         log = tmp_path / "bad.jsonl"
         log.write_text("\n".join(lines) + "\n")
+        assert main(["report", "--log", str(log)]) == EXIT_RUNTIME
+        target = tmp_path / "target.json"
+        target.write_text(json.dumps({"c0": {"a_good": 1.0}}))
+        argv = ["evaluate", "--log", str(log), "--target", str(target),
+                "--out", str(tmp_path / "eval.json")]
+        assert main(argv) == EXIT_RUNTIME
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda log: os.truncate(sidecar_path(log), 200),
+            lambda log: edit_sidecar(log, items=lambda a: a + 10**6),
+        ],
+        ids=["truncated", "item-index-out-of-range"],
+    )
+    def test_a_matching_but_malformed_sidecar_is_a_runtime_error(self, tmp_path, damage):
+        world = write_world(tmp_path / "world.json")
+        out = tmp_path / "run"
+        argv = ["simulate", "--world", str(world), "--out", str(out), "--seed", "1",
+                "--horizon", "20", "--policy", "uniform"]
+        assert main(argv) == EXIT_OK
+        log = out / "events.jsonl"
+        damage(log)
         assert main(["report", "--log", str(log)]) == EXIT_RUNTIME
         target = tmp_path / "target.json"
         target.write_text(json.dumps({"c0": {"a_good": 1.0}}))

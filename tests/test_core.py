@@ -7,7 +7,8 @@ import os
 import numpy as np
 import pytest
 
-from conftest import encode_v1, encode_v2, make_action, make_event, make_slate
+from conftest import edit_sidecar, encode_v1, encode_v2, make_action, make_event, make_slate
+from slatebandit import core
 from slatebandit.core import (
     NULL_ACTION_ID,
     NULL_ACTION_TITLE,
@@ -31,6 +32,7 @@ from slatebandit.core import (
     null_item,
     read_columns,
     reward_of,
+    sidecar_path,
 )
 
 
@@ -472,6 +474,208 @@ class TestReadColumns:
             assert list(attributed_rewards(LogColumns.from_events(events), spec)) == expected
 
 
+def write_log(path, events) -> None:
+    """``events`` appended through one ``EventLog`` scope, whose clean exit
+    writes the log's column sidecar."""
+    with EventLog(path) as log:
+        for event in events:
+            log.append(event)
+
+
+def reads_as_the_jsonl(path) -> None:
+    """``read_columns(path)`` gives what parsing the JSONL gives: the same
+    columns, or a ValidationError."""
+    try:
+        want = core._parse_columns(path)
+    except ValidationError:
+        with pytest.raises(ValidationError):
+            read_columns(path)
+        return
+    assert read_columns(path) == want
+
+
+def set_at(index, value):
+    def change(a):
+        a[index] = value
+        return a
+
+    return change
+
+
+class TestColumnSidecar:
+    def test_a_scope_writes_columns_equal_to_the_jsonl(self, tmp_path, monkeypatch):
+        path = tmp_path / "events.jsonl"
+        events = mixed_events()
+        write_log(path, events)
+        assert os.listdir(tmp_path) == ["events.jsonl", "events.jsonl.cols.npz"]
+        parsed = core._parse_columns(path)
+        assert parsed == LogColumns.from_events(events)
+
+        def no_parse(*args, **kwargs):
+            raise AssertionError("a log line was parsed")
+
+        monkeypatch.setattr(core, "_read_line", no_parse)
+        assert read_columns(path) == parsed
+
+    def test_json_types_survive_as_the_jsonl_gives_them(self, tmp_path):
+        context = Context("c", features={"tags": ("a", "b"), "n": 1, "s": "x"}, query=None)
+        item = Action("a1", title="T", features={"k": 2, "f": 0.5})
+        events = [
+            LoggedEvent(ts=t, context=context, slate=Slate([item, null_item()], [0.5, 0.1]),
+                        feedback=Feedback(click=0, survey=Survey.YES), propensity=0.5)
+            for t in range(3)
+        ]
+        path = tmp_path / "events.jsonl"
+        write_log(path, events)
+        from_sidecar = core._sidecar_columns(str(path))
+        assert from_sidecar is not None
+        assert from_sidecar == core._parse_columns(path)
+        assert from_sidecar.contexts[0].features == {"tags": ["a", "b"], "n": 1, "s": "x"}
+        assert type(from_sidecar.ts[0]) is int
+        assert type(from_sidecar.slates[0][0].features["k"]) is int
+
+    def test_sidecar_bytes_are_deterministic(self, tmp_path):
+        write_log(tmp_path / "one.jsonl", mixed_events())
+        write_log(tmp_path / "two.jsonl", mixed_events())
+        one = (tmp_path / "one.jsonl.cols.npz").read_bytes()
+        assert one == (tmp_path / "two.jsonl.cols.npz").read_bytes()
+
+    def test_an_empty_scope_reads_as_an_empty_log(self, tmp_path):
+        path = tmp_path / "events.jsonl"
+        write_log(path, [])
+        assert core._sidecar_columns(str(path)) == core._parse_columns(path)
+        assert len(read_columns(path)) == 0
+
+    def test_no_sidecar_for_a_log_that_had_lines(self, tmp_path):
+        path = tmp_path / "events.jsonl"
+        events = mixed_events()
+        write_log(path, events[:3])
+        assert os.path.exists(sidecar_path(path))
+        # reopening removes the old sidecar and writes none
+        write_log(path, events[3:])
+        assert os.listdir(tmp_path) == ["events.jsonl"]
+        assert read_columns(path) == LogColumns.from_events(events)
+
+    def test_appends_outside_a_scope_write_no_sidecar(self, tmp_path):
+        path = tmp_path / "events.jsonl"
+        log = EventLog(path)
+        for event in mixed_events():
+            log.append(event)
+        assert os.listdir(tmp_path) == ["events.jsonl"]
+
+    def test_an_append_after_the_scope_makes_the_sidecar_stale(self, tmp_path):
+        path = tmp_path / "events.jsonl"
+        events = mixed_events()
+        write_log(path, events[:-1])
+        EventLog(path).append(events[-1])
+        assert os.path.exists(sidecar_path(path))
+        assert core._sidecar_columns(str(path)) is None
+        assert read_columns(path) == LogColumns.from_events(events)
+
+    @pytest.mark.parametrize(
+        "event",
+        [
+            make_event(escalation=1),
+            make_event(propensity=1, click=0),
+            dataclasses.replace(make_event(), policy_tag=5),
+            dataclasses.replace(make_event(), context=Context(7)),
+            make_event(ts=2**63),
+            LoggedEvent(ts=0, context=Context("c"), slate=Slate([Action(9), null_item()], [1, 0]),
+                        feedback=Feedback()),
+        ],
+        ids=["escalation-an-int", "propensity-an-int", "policy-a-number", "ctx-id-a-number",
+             "ts-beyond-int64", "item-id-a-number"],
+    )
+    def test_a_value_no_column_holds_exactly_writes_no_sidecar(self, tmp_path, event):
+        path = tmp_path / "events.jsonl"
+        write_log(path, [make_event(ts=0), event, make_event(ts=2)])
+        assert os.listdir(tmp_path) == ["events.jsonl"]
+        reads_as_the_jsonl(path)
+
+    def test_a_flipped_byte_reads_as_the_jsonl(self, tmp_path):
+        path = tmp_path / "events.jsonl"
+        write_log(path, mixed_events())
+        original = path.read_bytes()
+        for position in range(0, len(original), 23):
+            flipped = bytearray(original)
+            flipped[position] ^= 0x01
+            path.write_bytes(bytes(flipped))
+            assert core._sidecar_columns(str(path)) is None
+            reads_as_the_jsonl(path)
+
+    def test_a_torn_or_dropped_last_line_reads_as_the_jsonl(self, tmp_path):
+        path = tmp_path / "events.jsonl"
+        events = mixed_events()
+        write_log(path, events)
+        original = path.read_bytes()
+        last = original.rstrip(b"\n").rfind(b"\n") + 1
+        path.write_bytes(original[: last + 40])
+        with pytest.raises(ValidationError):
+            read_columns(path)
+        path.write_bytes(original[:last])
+        assert read_columns(path) == LogColumns.from_events(events[:-1])
+
+    def test_another_format_version_falls_back_to_the_jsonl(self, tmp_path):
+        path = tmp_path / "events.jsonl"
+        write_log(path, mixed_events())
+
+        def bump(header):
+            record = json.loads(header.tobytes())
+            record["version"] += 1
+            return np.frombuffer(json.dumps(record).encode(), dtype=np.uint8)
+
+        edit_sidecar(path, header=bump)
+        assert core._sidecar_columns(str(path)) is None
+        assert read_columns(path) == LogColumns.from_events(mixed_events())
+
+    @pytest.mark.parametrize("cut", [0, 100, -1])
+    def test_a_truncated_sidecar_raises(self, tmp_path, cut):
+        path = tmp_path / "events.jsonl"
+        write_log(path, mixed_events())
+        side = tmp_path / "events.jsonl.cols.npz"
+        data = side.read_bytes()
+        side.write_bytes(data[: cut % len(data)])
+        with pytest.raises(ValidationError, match="column sidecar"):
+            read_columns(path)
+
+    def test_a_sidecar_that_cannot_be_opened_raises(self, tmp_path):
+        path = tmp_path / "events.jsonl"
+        write_log(path, mixed_events())
+        os.remove(sidecar_path(path))
+        os.mkdir(sidecar_path(path))
+        with pytest.raises(ValidationError, match="unreadable column sidecar"):
+            read_columns(path)
+
+    @pytest.mark.parametrize(
+        "changes",
+        [
+            {"items": set_at(0, 10**6)},
+            {"context": set_at(0, -1)},
+            {"click": lambda a: a[:-1]},
+            {"offsets": set_at(1, 10**6)},
+            {"offsets": set_at(-1, 0)},
+            {"click": set_at(0, 3)},
+            {"items": lambda a: np.concatenate([a[2:3], a[1:]])},
+            {"items": lambda a: np.concatenate([a[:1], a[:1], a[2:]])},
+            {"survey": set_at(0, 3)},
+            {"escalation": set_at(0, 2)},
+            {"propensity": set_at(0, 1.5)},
+            {"ts": lambda a: a.astype(float)},
+        ],
+        ids=["item-out-of-range", "context-negative", "lengths-disagree",
+             "offsets-not-monotone", "offsets-short-of-the-items", "click-outside-its-slate",
+             "two-null-items", "duplicate-item", "survey-code", "escalation-not-a-flag",
+             "propensity-above-one", "ts-not-integers"],
+    )
+    def test_a_matching_but_malformed_sidecar_raises(self, tmp_path, changes):
+        path = tmp_path / "events.jsonl"
+        write_log(path, mixed_events())
+        edit_sidecar(path, **changes)
+        with pytest.raises(ValidationError, match="column sidecar"):
+            read_columns(path)
+        assert core._parse_columns(path) == LogColumns.from_events(mixed_events())
+
+
 def item_lines(features_by_event: list[dict]) -> list[str]:
     """One encoded event per entry, each serving item "a1" (same id, title and
     null flag throughout) with the given features, then the null item."""
@@ -655,6 +859,24 @@ class TestAtomicWrite:
         atomic_write(path, "a,b\r\n3,4\r\n")
         assert os.listdir(tmp_path) == ["out.csv"]
         assert path.read_bytes() == b"a,b\r\n3,4\r\n"
+
+    def test_bytes_are_written_as_given(self, tmp_path):
+        path = tmp_path / "out.bin"
+        atomic_write(path, b"\x00\r\n\xff")
+        assert path.read_bytes() == b"\x00\r\n\xff"
+        assert os.listdir(tmp_path) == ["out.bin"]
+
+    @pytest.mark.parametrize("data", ["text\n", b"bytes\n"], ids=["text", "bytes"])
+    def test_one_fsync_and_one_rename_per_write(self, tmp_path, monkeypatch, data):
+        calls = []
+        for name in ("fsync", "replace"):
+            def counting(*args, real=getattr(os, name), name=name):
+                calls.append(name)
+                return real(*args)
+
+            monkeypatch.setattr(os, name, counting)
+        atomic_write(tmp_path / "out", data)
+        assert calls == ["fsync", "replace"]
 
     def test_mode_matches_a_plain_open_under_the_umask(self, tmp_path):
         plain = tmp_path / "plain.txt"

@@ -5,11 +5,14 @@ cannot see a change that moves the RNG stream or the arithmetic. These
 digests were recorded once and must not move when the code is refactored;
 a change that moves them on purpose has to say why and pin new values.
 
-Every run's event log also goes through ``check_log``: an interned read of
+Every run's event log is written through ``EventLog`` in one scope, so it
+has a column sidecar, and goes through ``check_log``: an interned read of
 the whole log must equal a fresh decode of each line and the events the run
-served, the log's columns must equal those of the served events, each line
-must be the reference v2 encoding of its event, and the event's v1 line must
-decode to the same event and re-encode to the v2 line.
+served, the log's columns read from the sidecar must equal those parsed from
+the JSONL and those of the served events, each line must be the reference v2
+encoding of its event, and the event's v1 line must decode to the same event
+and re-encode to the v2 line. The sidecars the CLI writes are pinned with
+the other ``simulate`` outputs.
 
 The offline stages' ``--out`` JSON (``evaluate`` and ``report``) is pinned
 too, over the uniform log of the learned-feature pipeline and over the
@@ -24,12 +27,13 @@ neural-linear policy with both samplers, and the learned-feature pipeline
 
 import hashlib
 import json
+import os
 
 import numpy as np
 import pytest
 
 from conftest import encode_v1, encode_v2
-from slatebandit import mab, sim
+from slatebandit import core, mab, sim
 from slatebandit.cli import EXIT_OK, main
 from slatebandit.core import (
     Action,
@@ -112,6 +116,7 @@ WORLD = {
 PINNED = {
     "cli_mab": {
         "events.jsonl": "9563df350ece8f3f851e118859b518b65a5103c25084c0f328a0c30f6e3e3f4a",
+        "events.jsonl.cols.npz": "1b3a912d6cac990cb4766f12e4dba763545ed10dcb3a8ac376c07627d9476ccd",
         "metrics.csv": "d580f111d7ceb37ca56d43701123488627faded072f2fd1a5274f7adccee7ee4",
         "summary.json": "7e45b1733840467722fca8cac8de8c8e4daba352331e5ddf1cd7deb996cf8f9c",
         "banks/account.json": "4e259814082c876cd6f6435ab64ad5f118e9767827caeae9bffa8bf29bd562d9",
@@ -120,6 +125,7 @@ PINNED = {
     },
     "cli_uniform": {
         "events.jsonl": "c43c74507921edaa1203f7ffe08d61f8dad4ac09ccaf353d77782e446aefa09b",
+        "events.jsonl.cols.npz": "895fd9c8a19aaf7b0fe27e39db08713257130de661cec41cda98ee6586d7a488",
         "metrics.csv": "bedcf0d8f016135a1861f4c3403c6e03b88c8cfb7e76090314c5343ee4d244b0",
         "summary.json": "fe77e78afdb5342cc367aa597529a40a1e99771b7cb32d223cd0a57715c70f23",
     },
@@ -137,6 +143,7 @@ PINNED = {
         "fmap.json": "6ae6e8035f2b78fd550c68cacca215a638b9976495f147f56de5e0c3c9c7ae49",
         "head.json": "5f065b8f9ced3b46a9b326064270aacbf41a60e8865fa68d17fd695052492ad7",
         "events.jsonl": "cd020ad139dedadccf873eae8e7aadb3dc645321676006751ce598c204520de5",
+        "events.jsonl.cols.npz": "22a2091676bc184c1d2b7c9a8ef62d702ca782d7e77617ed558fba1bf3bca184",
     },
     # the offline stages' JSON, over the logs the two CLI runs above write
     "cli_learned_features_offline": {
@@ -168,7 +175,10 @@ def check_log(path, served) -> None:
     lines = text.splitlines()
     replayed = EventLog(path).read_all()
     assert replayed == [decode_event(line) for line in lines] == served
-    assert read_columns(path) == LogColumns.from_events(served)
+    from_sidecar = core._sidecar_columns(os.fspath(path))
+    assert from_sidecar is not None
+    assert read_columns(path) == from_sidecar
+    assert from_sidecar == core._parse_columns(path) == LogColumns.from_events(served)
     assert "".join(encode_event(e) + "\n" for e in replayed) == text
     assert lines == [encode_v2(e) for e in served]
     for event, line in zip(served, lines):
@@ -232,9 +242,13 @@ def offline_digests(tmp_path, log, stages) -> dict[str, str]:
 
 
 def run_digests(tmp_path, result) -> dict[str, str]:
+    log = tmp_path / "events.jsonl"
+    with EventLog(log) as writer:
+        for event in result.events:
+            writer.append(event)
     events = "".join(encode_event(e) + "\n" for e in result.events)
-    (tmp_path / "events.jsonl").write_text(events, encoding="utf-8")
-    check_log(tmp_path / "events.jsonl", result.events)
+    assert log.read_text(encoding="utf-8") == events
+    check_log(log, result.events)
     csv_path = tmp_path / "metrics.csv"
     write_metrics_csv(result.windows, csv_path)
     return {"events": sha256(events.encode()), "metrics.csv": sha256(csv_path.read_bytes())}
@@ -336,6 +350,7 @@ def test_cli_learned_feature_pipeline(tmp_path, served_runs):
         "fmap.json": sha256(fmap.read_bytes()),
         "head.json": sha256(head.read_bytes()),
         "events.jsonl": sha256(served.read_bytes()),
+        "events.jsonl.cols.npz": sha256(served.with_name("events.jsonl.cols.npz").read_bytes()),
     }
     assert got == PINNED["cli_learned_features"]
     offline = offline_digests(tmp_path, log, ["evaluate", "report"])

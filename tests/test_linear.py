@@ -272,9 +272,7 @@ class TestTsSampling:
         head = diagonal_head([4.0, 1.0], [1.0, 0.0])
         phi = np.array([1.0, 0.0])
         rng = np.random.default_rng(11)
-        scores = np.array(
-            [ts_sample(head, [("a", phi)], 2.0, rng)[1][0] for _ in range(20000)]
-        )
+        scores = np.array([ts_sample(head, [phi], 2.0, rng)[0] for _ in range(20000)])
         # score ~ Normal(w.phi, prior_scale * phi' inv(design) phi)
         assert_allclose(scores.mean(), 1.0, atol=0.02)
         assert_allclose(scores.var(), 2.0 / 4.0, atol=0.02)
@@ -282,26 +280,15 @@ class TestTsSampling:
     def test_one_draw_ranks_all_candidates(self):
         head = diagonal_head([4.0, 1.0], [1.0, 0.0])
         rng = np.random.default_rng(12)
-        candidates = [
-            ("a", np.array([1.0, 0.0])),
-            ("b", np.array([2.0, 0.0])),
-        ]
-        best, scores = ts_sample(head, candidates, 0.5, rng)
-        # b's feature is a scalar multiple of a's: scores must share the sign
-        # structure of a single weight draw
+        scores = ts_sample(head, [np.array([1.0, 0.0]), np.array([2.0, 0.0])], 0.5, rng)
+        # the second feature is a scalar multiple of the first: scores must
+        # share the sign structure of a single weight draw
         assert_allclose(scores[1], 2.0 * scores[0], rtol=1e-12)
-        assert best == int(scores[1] > scores[0])
-
-    def test_ties_break_by_action_id(self):
-        head = diagonal_head([4.0], [1.0])
-        phi = np.array([1.0])
-        best, _ = ts_sample(head, [("b", phi), ("a", phi)], 1.0, np.random.default_rng(0))
-        assert best == 1
 
     def test_parameter_validation(self):
         head = diagonal_head([1.0], [0.0])
         with pytest.raises(ValidationError):
-            ts_sample(head, [("a", np.array([1.0]))], 0.0, np.random.default_rng(0))
+            ts_sample(head, [np.array([1.0])], 0.0, np.random.default_rng(0))
         with pytest.raises(NoDataError):
             ts_sample(head, [], 1.0, np.random.default_rng(0))
 
@@ -343,12 +330,12 @@ class TestHeadSnapshot:
         record["inv_factor"] = inv_factor.tolist()
         (tmp_path / "old.json").write_text(json.dumps(record, sort_keys=True))
         loaded = load_head(tmp_path / "old.json")
-        candidates = [(f"a{i}", rng.normal(size=5)) for i in range(6)]
+        candidates = [rng.normal(size=5) for _ in range(6)]
         for seed in range(20):
-            _, scores = ts_sample(loaded, candidates, 0.7, np.random.default_rng(seed))
+            scores = ts_sample(loaded, candidates, 0.7, np.random.default_rng(seed))
             z = np.random.default_rng(seed).standard_normal(head.rank)
             weights = head.weights + np.sqrt(0.7) * (head.basis @ (inv_factor.T @ z))
-            expected = np.array([float(weights @ phi) for _, phi in candidates])
+            expected = np.array([float(weights @ phi) for phi in candidates])
             assert np.array_equal(scores, expected)
 
     def test_integer_exactness_survives_the_round_trip(self, tmp_path):

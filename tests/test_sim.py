@@ -5,6 +5,7 @@ ones are checked against their hand-computed choice distributions.
 """
 
 import csv
+import os
 
 import numpy as np
 import pytest
@@ -24,7 +25,9 @@ from slatebandit.core import (
     decode_event,
     encode_event,
     null_item,
+    sidecar_path,
 )
+from slatebandit.linear import BanditHead, ts_sample
 from slatebandit.mab import LambdaConfig
 from slatebandit.sim import (
     ActionTruth,
@@ -37,6 +40,7 @@ from slatebandit.sim import (
     Schedule,
     UniformRandomPolicy,
     WorldSpec,
+    _serve_by_score,
     analytic_oracle_prr,
     kpi_counters,
     load_world,
@@ -502,8 +506,27 @@ class TestRunLoop:
         monkeypatch.setattr(core, "open", counting_open, raising=False)
         log = EventLog(tmp_path / "events.jsonl")
         run(self.learnable_world(), UniformRandomPolicy(), Schedule(horizon=50), log=log)
-        assert len(opened) == 1 and opened[0].closed
+        # the log once; the close also writes the column sidecar's temp file
+        assert [fh.name for fh in opened if fh.name == log.path] == [log.path]
+        assert all(fh.closed for fh in opened)
         assert len(log.read_all()) == 50
+        assert os.path.exists(sidecar_path(log.path))
+
+    def test_a_run_that_raises_leaves_no_sidecar_and_no_temp_file(self, tmp_path):
+        class Failing(UniformRandomPolicy):
+            served = 0
+
+            def decide(self, context, candidates, rng):
+                self.served += 1
+                if self.served > 30:
+                    raise RuntimeError("serving failed")
+                return super().decide(context, candidates, rng)
+
+        log = EventLog(tmp_path / "events.jsonl")
+        with pytest.raises(RuntimeError, match="serving failed"):
+            run(self.learnable_world(), Failing(), Schedule(horizon=50), log=log)
+        assert os.listdir(tmp_path) == ["events.jsonl"]
+        assert len(log.read_all()) == 30
 
     def test_expansion_promotes_from_foreign_stats_during_the_run(self):
         from slatebandit.mab import ArmStats
@@ -648,6 +671,20 @@ class TestRunLoop:
         assert policy.stats.count == 1
         assert policy.stats.gram[2, 2] == 1.0
         assert policy.stats.reward_feature_sum[2] == 1.0
+
+    def test_thompson_scores_rank_by_score_then_action_id(self):
+        # "b" and "a" share a feature vector, so the one draw scores them
+        # equally and the served order breaks the tie by action id; "c"
+        # scores twice as high and the null item zero
+        head = BanditHead(dim=1, basis=np.eye(1), eigenvalues=np.array([4.0]),
+                          weights=np.array([1.0]), pcr_threshold=1.0)
+        actions = [Action("b", "b"), Action("a", "a"), Action("c", "c"), null_item()]
+        phis = [np.array([1.0]), np.array([1.0]), np.array([2.0]), np.array([0.0])]
+        for seed in range(20):
+            scores = ts_sample(head, phis, 1.0, np.random.default_rng(seed))
+            assert scores[2] > scores[0] == scores[1] > scores[3]
+            served = _serve_by_score(actions, scores, SlatePolicyConfig(max_length=4)).served
+            assert [a.action_id for a in served.items] == ["c", "a", "b", NULL_ACTION_ID]
 
     def test_feature_table_null_falls_back_to_zeros_without_an_entry(self):
         table = FeatureTable({("ctx", "a1"): np.array([1.0, 0.0])}, dim=2)
