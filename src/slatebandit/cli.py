@@ -26,7 +26,6 @@ from .core import (
     atomic_write,
     attributed_rewards,
     read_columns,
-    sidecar_path,
 )
 from .slates import SlatePolicyConfig
 
@@ -137,13 +136,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     log_tmp = log_path + ".tmp"
     if os.path.exists(log_tmp):
         os.remove(log_tmp)
-    # run holds the log open only while it serves, so the renames see closed
-    # files; the sidecar names no path, so it moves with its log
+    # run holds the log open only while it serves, so the rename sees a
+    # closed file
     result = sim.run(world, policy, schedule, policy_seed=args.seed, log=EventLog(log_tmp))
-    if os.path.exists(sidecar_path(log_tmp)):
-        os.replace(sidecar_path(log_tmp), sidecar_path(log_path))
-    elif os.path.exists(sidecar_path(log_path)):
-        os.remove(sidecar_path(log_path))
     os.replace(log_tmp, log_path)
     sim.write_metrics_csv(result.windows, os.path.join(args.out, "metrics.csv"))
     if isinstance(policy, sim.MabPolicy):

@@ -14,6 +14,7 @@ from slatebandit.core import (
     LoggedEvent,
     Slate,
     Survey,
+    decode_event,
     null_item,
     sidecar_path,
 )
@@ -101,6 +102,13 @@ def encode_v2(event: LoggedEvent) -> str:
         if record[name] is None:
             del record[name]
     return json.dumps(record, sort_keys=True, separators=(",", ":"))
+
+
+def decode_log(path) -> list[LoggedEvent]:
+    """The events of the log at ``path``, one ``decode_event`` per line,
+    blank lines skipped."""
+    with open(path, encoding="utf-8") as fh:
+        return [decode_event(line) for line in fh if line.strip()]
 
 
 def edit_sidecar(path, **changes) -> None:

@@ -11,10 +11,10 @@ import re
 import numpy as np
 import pytest
 
-from conftest import edit_sidecar, make_event
+from conftest import decode_log, edit_sidecar, make_event
 from slatebandit import core
 from slatebandit.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
-from slatebandit.core import NULL_ACTION_ID, EventLog, RewardSpec, Survey, sidecar_path
+from slatebandit.core import NULL_ACTION_ID, RewardSpec, Survey, read_columns, sidecar_path
 from slatebandit.features import load_feature_map
 from slatebandit.linear import fit, load_head
 from slatebandit.mab import ContextBank, save_bank
@@ -82,7 +82,7 @@ class TestSimulate:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["events"] == 200
         assert summary["policy"] == "mab"
-        events = EventLog(out / "events.jsonl").read_all()
+        events = decode_log(out / "events.jsonl")
         assert len(events) == 200
 
     def test_rerun_with_same_inputs_is_byte_identical(self, tmp_path):
@@ -116,7 +116,7 @@ class TestSimulate:
             ]
         )
         assert code == EXIT_OK
-        events = EventLog(out / "events.jsonl").read_all()
+        events = decode_log(out / "events.jsonl")
         clicked = [e for e in events if e.feedback.click is not None]
         assert clicked
         assert all(e.propensity is not None for e in clicked)
@@ -247,7 +247,8 @@ class TestPipeline:
             raise AssertionError("decode_event called")
 
         monkeypatch.setattr(core, "decode_event", no_decode)
-        # once from the column sidecar, once parsing the JSONL without it
+        # the first stage parses the JSONL and writes the column sidecar, the
+        # others read the sidecar; then all again once it is removed
         for remove_sidecar in (False, True):
             if remove_sidecar:
                 os.remove(sidecar_path(log))
@@ -283,6 +284,7 @@ class TestPipeline:
 
     def test_offline_stages_parse_no_line_beside_a_matching_sidecar(self, tmp_path, monkeypatch):
         log = self.simulate(tmp_path) / "events.jsonl"
+        read_columns(log)
         assert os.path.exists(sidecar_path(log))
 
         def no_parse(*args, **kwargs):
@@ -300,20 +302,28 @@ class TestPipeline:
             from_sidecar = (tmp_path / "from_sidecar" / name).read_bytes()
             assert from_sidecar == (tmp_path / "from_jsonl" / name).read_bytes(), name
 
-    def test_simulate_twice_into_one_out_leaves_the_second_logs_sidecar(self, tmp_path):
+    def test_simulate_twice_into_one_out_reads_the_second_log(self, tmp_path):
         world = write_world(tmp_path / "world.json")
         out = tmp_path / "run"
         log = out / "events.jsonl"
-        for seed, horizon in (("1", "120"), ("2", "80")):
-            argv = ["simulate", "--world", str(world), "--out", str(out), "--seed", seed,
-                    "--horizon", horizon, "--policy", "uniform"]
-            assert main(argv) == EXIT_OK
-        assert sorted(os.listdir(out)) == [
-            "events.jsonl", "events.jsonl.cols.npz", "metrics.csv", "summary.json"
-        ]
+
+        def simulate(seed: str, horizon: str) -> int:
+            return main(["simulate", "--world", str(world), "--out", str(out), "--seed", seed,
+                         "--horizon", horizon, "--policy", "uniform"])
+
+        assert simulate("1", "120") == EXIT_OK
+        # simulate writes the log only; its first read writes the sidecar
+        assert sorted(os.listdir(out)) == ["events.jsonl", "metrics.csv", "summary.json"]
+        assert len(read_columns(log)) == 120
+        assert os.path.exists(sidecar_path(log))
+        assert simulate("2", "80") == EXIT_OK
+        # the first log's sidecar is stale beside the second log; the next
+        # read parses the log and rewrites it
+        assert core._sidecar_columns(str(log)) is None
+        assert len(read_columns(log)) == 80
         from_sidecar = core._sidecar_columns(str(log))
-        assert from_sidecar is not None and len(from_sidecar) == 80
-        assert from_sidecar == core._parse_columns(log)
+        assert from_sidecar is not None
+        assert from_sidecar == core._parse_columns(log)[0]
 
     def test_offline_head_matches_the_online_fold_of_the_same_log(self, tmp_path):
         # Free-text turns attribute surveys to the null slot; the online
@@ -331,7 +341,7 @@ class TestPipeline:
              "--out", str(head_path)],
         ):
             assert main(argv) == EXIT_OK
-        events = EventLog(log).read_all()
+        events = decode_log(log)
         assert any(
             e.feedback.click is not None and e.slate.items[e.feedback.click].is_null_item
             and e.feedback.survey is not Survey.SKIPPED
@@ -526,12 +536,15 @@ class TestExitCodes:
                 "posteriors", {item["id"]: ["1", "2"] for item in r["slate"]["items"]})),
             edit_record(lambda r: r["ctx"].__setitem__("id", 5)),
             edit_record(lambda r: r["ctx"].__setitem__("id", "")),
+            # lone surrogates are written as the raw bytes they escape
+            lambda line: line.replace('"policy":"', '"policy":"\udcff', 1),
+            lambda line: line[:-3] + "\udcc3",  # the first byte of a two-byte character
         ],
         ids=[
             "line-not-an-object", "slate-not-an-object", "escalation-not-a-boolean",
             "propensity-a-boolean", "score-a-boolean", "policy-a-number", "query-a-number",
             "unknown-version", "posterior-a-boolean", "posterior-strings", "ctx-id-a-number",
-            "ctx-id-empty",
+            "ctx-id-empty", "policy-not-utf8", "torn-multibyte-character",
         ],
     )
     def test_malformed_log_line_is_a_runtime_error(self, tmp_path, edit):
@@ -545,7 +558,7 @@ class TestExitCodes:
         assert edited != lines[7]
         lines[7] = edited
         log = tmp_path / "bad.jsonl"
-        log.write_text("\n".join(lines) + "\n")
+        log.write_bytes(("\n".join(lines) + "\n").encode("utf-8", "surrogateescape"))
         assert main(["report", "--log", str(log)]) == EXIT_RUNTIME
         target = tmp_path / "target.json"
         target.write_text(json.dumps({"c0": {"a_good": 1.0}}))
@@ -568,6 +581,7 @@ class TestExitCodes:
                 "--horizon", "20", "--policy", "uniform"]
         assert main(argv) == EXIT_OK
         log = out / "events.jsonl"
+        read_columns(log)  # which writes the sidecar
         damage(log)
         assert main(["report", "--log", str(log)]) == EXIT_RUNTIME
         target = tmp_path / "target.json"

@@ -7,7 +7,15 @@ import os
 import numpy as np
 import pytest
 
-from conftest import edit_sidecar, encode_v1, encode_v2, make_action, make_event, make_slate
+from conftest import (
+    decode_log,
+    edit_sidecar,
+    encode_v1,
+    encode_v2,
+    make_action,
+    make_event,
+    make_slate,
+)
 from slatebandit import core
 from slatebandit.core import (
     NULL_ACTION_ID,
@@ -332,13 +340,16 @@ class TestLogFormat:
         ],
         ids=["unicode-title", "non-string-features", "nan-scores", "numpy-propensity", "full"],
     )
-    def test_encoding_matches_the_reference_and_round_trips(self, event):
+    def test_encoding_matches_the_reference_and_round_trips(self, event, tmp_path):
         line = encode_event(event)
         assert line == encode_v2(event)
         assert encode_event(decode_event(line)) == line
         assert encode_event(decode_event(encode_v1(event))) == line
-        for table in (None, {}):
-            assert encode_event(decode_event(line, interned=table)) == line
+        # the column reader, parsing and then from the sidecar that parse wrote
+        path = tmp_path / "events.jsonl"
+        path.write_text(line + "\n")
+        for _ in range(2):
+            assert read_columns(path) == LogColumns.from_events([decode_event(line)])
 
     def test_a_v2_null_flag_must_agree_with_the_id(self, tmp_path):
         record = json.loads(encode_event(V1_EVENTS[1]))
@@ -348,11 +359,13 @@ class TestLogFormat:
 
 class TestEventLog:
     def test_append_then_replay_preserves_order_and_content(self, tmp_path):
-        log = EventLog(tmp_path / "events.jsonl")
+        path = tmp_path / "events.jsonl"
+        log = EventLog(path)
         events = [make_event(ts=i, click=0 if i % 2 else None) for i in range(20)]
         for event in events:
             log.append(event)
-        assert log.read_all() == events
+        assert decode_log(path) == events
+        assert read_columns(path) == LogColumns.from_events(events)
 
     def test_replay_skips_blank_lines(self, tmp_path):
         path = tmp_path / "events.jsonl"
@@ -361,7 +374,7 @@ class TestEventLog:
         with open(path, "a") as fh:
             fh.write("\n")
         log.append(make_event(ts=2))
-        assert [e.ts for e in log.read_all()] == [1, 2]
+        assert read_columns(path).ts == [1, 2]
 
     def test_append_writes_one_encoded_line_per_event(self, tmp_path):
         events = [make_event(ts=i) for i in range(5)]
@@ -372,7 +385,7 @@ class TestEventLog:
         for event in events[2:]:
             log.append(event)
         assert path.read_text() == "".join(encode_event(e) + "\n" for e in events)
-        assert log.read_all() == events
+        assert decode_log(path) == events
 
     def test_held_handle_writes_each_event_through_to_the_file(self, tmp_path):
         path = tmp_path / "events.jsonl"
@@ -382,10 +395,11 @@ class TestEventLog:
                 log.append(event)
                 assert path.read_text() == "".join(encode_event(e) + "\n" for e in events[: i + 1])
         log.append(make_event(ts=4))
-        assert [e.ts for e in log.read_all()] == [0, 1, 2, 3, 4]
+        assert read_columns(path).ts == [0, 1, 2, 3, 4]
 
     def test_scope_closes_on_error_and_is_not_reentrant(self, tmp_path):
-        log = EventLog(tmp_path / "events.jsonl")
+        path = tmp_path / "events.jsonl"
+        log = EventLog(path)
         with pytest.raises(KeyError):
             with log:
                 log.append(make_event(ts=0))
@@ -394,16 +408,18 @@ class TestEventLog:
             with pytest.raises(ValueError, match="already open"):
                 log.__enter__()
             log.append(make_event(ts=1))
-        assert [e.ts for e in log.read_all()] == [0, 1]
+        assert read_columns(path).ts == [0, 1]
 
     def test_replay_shares_one_action_per_distinct_item(self, tmp_path):
-        log = EventLog(tmp_path / "events.jsonl")
+        path = tmp_path / "events.jsonl"
+        log = EventLog(path)
         for i in range(3):
             log.append(make_event(ts=i, action_ids=["a1", "a2"]))
-        first, *rest = log.read_all()
-        for event in rest:
-            for mine, theirs in zip(event.slate.items, first.slate.items):
-                assert mine is theirs
+        # parsing the JSONL, then from the sidecar that parse wrote
+        for _ in range(2):
+            first, *rest = read_columns(path).slates
+            for items in rest:
+                assert all(mine is theirs for mine, theirs in zip(items, first))
 
 
 def mixed_events() -> list[LoggedEvent]:
@@ -436,7 +452,7 @@ class TestReadColumns:
         path.write_text("\n".join(encode(e) for e in events[:3]) + "\n\n  \n"
                         + "".join(encode(e) + "\n" for e in events[3:]))
         got = read_columns(path)
-        assert got == LogColumns.from_events(EventLog(path).read_all())
+        assert got == LogColumns.from_events(decode_log(path))
         assert got == LogColumns.from_events(events)
         assert len(got) == len(events)
         assert got.ts == [e.ts for e in events]
@@ -474,19 +490,26 @@ class TestReadColumns:
             assert list(attributed_rewards(LogColumns.from_events(events), spec)) == expected
 
 
-def write_log(path, events) -> None:
-    """``events`` appended through one ``EventLog`` scope, whose clean exit
-    writes the log's column sidecar."""
+def write_log(path, events) -> LogColumns:
+    """``events`` appended through one ``EventLog`` scope, then read once;
+    that first read writes the log's column sidecar. The columns it gave."""
     with EventLog(path) as log:
         for event in events:
             log.append(event)
+    return read_columns(path)
+
+
+def parsed(path) -> LogColumns:
+    """The columns of the JSONL at ``path``, parsed with no sidecar read or
+    written."""
+    return core._parse_columns(path)[0]
 
 
 def reads_as_the_jsonl(path) -> None:
     """``read_columns(path)`` gives what parsing the JSONL gives: the same
     columns, or a ValidationError."""
     try:
-        want = core._parse_columns(path)
+        want = parsed(path)
     except ValidationError:
         with pytest.raises(ValidationError):
             read_columns(path)
@@ -503,19 +526,18 @@ def set_at(index, value):
 
 
 class TestColumnSidecar:
-    def test_a_scope_writes_columns_equal_to_the_jsonl(self, tmp_path, monkeypatch):
+    def test_the_first_read_writes_columns_equal_to_the_jsonl(self, tmp_path, monkeypatch):
         path = tmp_path / "events.jsonl"
         events = mixed_events()
-        write_log(path, events)
-        assert os.listdir(tmp_path) == ["events.jsonl", "events.jsonl.cols.npz"]
-        parsed = core._parse_columns(path)
-        assert parsed == LogColumns.from_events(events)
+        assert write_log(path, events) == LogColumns.from_events(events)
+        assert sorted(os.listdir(tmp_path)) == ["events.jsonl", "events.jsonl.cols.npz"]
+        assert parsed(path) == LogColumns.from_events(events)
 
         def no_parse(*args, **kwargs):
             raise AssertionError("a log line was parsed")
 
         monkeypatch.setattr(core, "_read_line", no_parse)
-        assert read_columns(path) == parsed
+        assert read_columns(path) == LogColumns.from_events(events)
 
     def test_json_types_survive_as_the_jsonl_gives_them(self, tmp_path):
         context = Context("c", features={"tags": ("a", "b"), "n": 1, "s": "x"}, query=None)
@@ -529,10 +551,34 @@ class TestColumnSidecar:
         write_log(path, events)
         from_sidecar = core._sidecar_columns(str(path))
         assert from_sidecar is not None
-        assert from_sidecar == core._parse_columns(path)
+        assert from_sidecar == parsed(path)
         assert from_sidecar.contexts[0].features == {"tags": ["a", "b"], "n": 1, "s": "x"}
         assert type(from_sidecar.ts[0]) is int
         assert type(from_sidecar.slates[0][0].features["k"]) is int
+
+    def test_contexts_equal_in_python_but_not_in_json_stay_apart(self, tmp_path):
+        # 1, 1.0 and true compare equal in Python; each must come back as written
+        events = [
+            LoggedEvent(ts=t, context=Context("c", features={"n": value}),
+                        slate=make_slate(["a1"]), feedback=Feedback())
+            for t, value in enumerate([1, 1.0, True, 1])
+        ]
+        path = tmp_path / "events.jsonl"
+        write_log(path, events)
+        from_sidecar = core._sidecar_columns(str(path))
+        assert from_sidecar is not None
+        assert [json.dumps(c.features) for c in from_sidecar.contexts] == [
+            '{"n": 1}', '{"n": 1.0}', '{"n": true}', '{"n": 1}'
+        ]
+
+    def test_a_number_item_id_reads_back_as_a_number(self, tmp_path):
+        event = LoggedEvent(ts=0, context=Context("c"), slate=Slate([Action(9), null_item()], [1, 0]),
+                            feedback=Feedback(click=0))
+        path = tmp_path / "events.jsonl"
+        write_log(path, [event, event])
+        from_sidecar = core._sidecar_columns(str(path))
+        assert from_sidecar == parsed(path) == LogColumns.from_events([event, event])
+        assert type(from_sidecar.slates[0][0].action_id) is int
 
     def test_sidecar_bytes_are_deterministic(self, tmp_path):
         write_log(tmp_path / "one.jsonl", mixed_events())
@@ -543,18 +589,8 @@ class TestColumnSidecar:
     def test_an_empty_scope_reads_as_an_empty_log(self, tmp_path):
         path = tmp_path / "events.jsonl"
         write_log(path, [])
-        assert core._sidecar_columns(str(path)) == core._parse_columns(path)
+        assert core._sidecar_columns(str(path)) == parsed(path)
         assert len(read_columns(path)) == 0
-
-    def test_no_sidecar_for_a_log_that_had_lines(self, tmp_path):
-        path = tmp_path / "events.jsonl"
-        events = mixed_events()
-        write_log(path, events[:3])
-        assert os.path.exists(sidecar_path(path))
-        # reopening removes the old sidecar and writes none
-        write_log(path, events[3:])
-        assert os.listdir(tmp_path) == ["events.jsonl"]
-        assert read_columns(path) == LogColumns.from_events(events)
 
     def test_appends_outside_a_scope_write_no_sidecar(self, tmp_path):
         path = tmp_path / "events.jsonl"
@@ -566,31 +602,73 @@ class TestColumnSidecar:
     def test_an_append_after_the_scope_makes_the_sidecar_stale(self, tmp_path):
         path = tmp_path / "events.jsonl"
         events = mixed_events()
-        write_log(path, events[:-1])
-        EventLog(path).append(events[-1])
+        write_log(path, events[:3])
+        EventLog(path).append(events[3])
+        with EventLog(path) as log:  # a scope over a log that has lines
+            log.append(events[4])
         assert os.path.exists(sidecar_path(path))
         assert core._sidecar_columns(str(path)) is None
-        assert read_columns(path) == LogColumns.from_events(events)
+        # the next read parses the log and rewrites the sidecar to match it
+        assert read_columns(path) == LogColumns.from_events(events[:5])
+        assert core._sidecar_columns(str(path)) == LogColumns.from_events(events[:5])
+
+    @pytest.mark.parametrize(
+        "event",
+        [make_event(propensity=1, click=0), make_event(ts=2**63)],
+        ids=["propensity-an-int", "ts-beyond-int64"],
+    )
+    def test_a_value_no_column_holds_exactly_writes_no_sidecar(self, tmp_path, event):
+        path = tmp_path / "events.jsonl"
+        events = [make_event(ts=0), event, make_event(ts=2)]
+        assert write_log(path, events) == LogColumns.from_events(events)
+        assert os.listdir(tmp_path) == ["events.jsonl"]
+        reads_as_the_jsonl(path)
 
     @pytest.mark.parametrize(
         "event",
         [
             make_event(escalation=1),
-            make_event(propensity=1, click=0),
             dataclasses.replace(make_event(), policy_tag=5),
             dataclasses.replace(make_event(), context=Context(7)),
-            make_event(ts=2**63),
-            LoggedEvent(ts=0, context=Context("c"), slate=Slate([Action(9), null_item()], [1, 0]),
-                        feedback=Feedback()),
         ],
-        ids=["escalation-an-int", "propensity-an-int", "policy-a-number", "ctx-id-a-number",
-             "ts-beyond-int64", "item-id-a-number"],
+        ids=["escalation-an-int", "policy-a-number", "ctx-id-a-number"],
     )
-    def test_a_value_no_column_holds_exactly_writes_no_sidecar(self, tmp_path, event):
+    def test_a_log_the_jsonl_rejects_gets_no_sidecar(self, tmp_path, event):
         path = tmp_path / "events.jsonl"
-        write_log(path, [make_event(ts=0), event, make_event(ts=2)])
+        with pytest.raises(ValidationError):
+            write_log(path, [make_event(ts=0), event, make_event(ts=2)])
         assert os.listdir(tmp_path) == ["events.jsonl"]
-        reads_as_the_jsonl(path)
+
+    def test_a_failed_write_returns_the_columns_and_leaves_only_the_log(
+        self, tmp_path, monkeypatch
+    ):
+        path = tmp_path / "events.jsonl"
+        events = mixed_events()
+        attempts = []
+
+        def denied(target, data):
+            attempts.append(target)
+            raise PermissionError(13, "Permission denied", target)
+
+        monkeypatch.setattr(core, "atomic_write", denied)
+        assert write_log(path, events) == LogColumns.from_events(events)
+        assert os.listdir(tmp_path) == ["events.jsonl"]
+        # with no sidecar the next read parses the log again, and tries again
+        assert read_columns(path) == LogColumns.from_events(events)
+        assert os.listdir(tmp_path) == ["events.jsonl"]
+        assert attempts == [sidecar_path(path)] * 2
+
+    def test_a_non_utf8_byte_is_a_validation_error(self, tmp_path):
+        path = tmp_path / "events.jsonl"
+        good = encode_event(make_event()).encode() + b"\n"
+        for bad in (
+            good.replace(b'"policy":"test"', b'"policy":"te\xffst"'),
+            good[:-3] + "é".encode()[:1],  # a line cut inside a multi-byte character
+        ):
+            path.write_bytes(good + bad)
+            with pytest.raises(ValidationError, match="not UTF-8"):
+                read_columns(path)
+            assert os.listdir(tmp_path) == ["events.jsonl"]
 
     def test_a_flipped_byte_reads_as_the_jsonl(self, tmp_path):
         path = tmp_path / "events.jsonl"
@@ -612,8 +690,11 @@ class TestColumnSidecar:
         path.write_bytes(original[: last + 40])
         with pytest.raises(ValidationError):
             read_columns(path)
+        # no sidecar for the torn log: the one written for the whole log is stale
+        assert core._sidecar_columns(str(path)) is None
         path.write_bytes(original[:last])
         assert read_columns(path) == LogColumns.from_events(events[:-1])
+        assert core._sidecar_columns(str(path)) == LogColumns.from_events(events[:-1])
 
     def test_another_format_version_falls_back_to_the_jsonl(self, tmp_path):
         path = tmp_path / "events.jsonl"
@@ -673,7 +754,7 @@ class TestColumnSidecar:
         edit_sidecar(path, **changes)
         with pytest.raises(ValidationError, match="column sidecar"):
             read_columns(path)
-        assert core._parse_columns(path) == LogColumns.from_events(mixed_events())
+        assert parsed(path) == LogColumns.from_events(mixed_events())
 
 
 def item_lines(features_by_event: list[dict]) -> list[str]:
@@ -706,30 +787,44 @@ def set_posteriors(first):
     return lambda r: r.__setitem__("posteriors", {"a1": first, NULL_ACTION_ID: [0.0, 1.0]})
 
 
+def both_reads(path, lines: list[str]) -> list[LogColumns]:
+    """``lines`` written as the log at ``path``, then its columns read twice:
+    parsing the JSONL, and from the sidecar that parse wrote."""
+    path.write_text("".join(line + "\n" for line in lines))
+    parsed_once = read_columns(path)
+    return [parsed_once, core._sidecar_columns(str(path))]
+
+
+def items_json(items: tuple[Action, ...]) -> str:
+    return json.dumps([a.to_dict() for a in items], sort_keys=True, separators=(",", ":"))
+
+
 class TestDecodeInterning:
-    def test_items_that_differ_only_in_features_decode_to_distinct_actions(self):
+    def test_items_that_differ_only_in_features_decode_to_distinct_actions(self, tmp_path):
         lines = item_lines([{"kind": "faq"}, {"kind": "howto"}, {"kind": "faq"}, {}])
-        table: dict = {}
-        decoded = [decode_event(line, interned=table) for line in lines]
-        got = [e.slate.items[0].features for e in decoded]
-        assert got == [{"kind": "faq"}, {"kind": "howto"}, {"kind": "faq"}, {}]
-        assert decoded[0].slate.items[0] is not decoded[1].slate.items[0]
-        assert [encode_event(e) for e in decoded] == lines
+        for got in both_reads(tmp_path / "events.jsonl", lines):
+            features = [items[0].features for items in got.slates]
+            assert features == [{"kind": "faq"}, {"kind": "howto"}, {"kind": "faq"}, {}]
+            assert got.slates[0][0] is not got.slates[1][0]
+            assert got == LogColumns.from_events([decode_event(line) for line in lines])
 
-    def test_interned_decode_equals_a_fresh_decode_of_each_line(self):
+    def test_interned_decode_equals_a_fresh_decode_of_each_line(self, tmp_path):
         lines = item_lines([{"kind": "faq"}, {"kind": "faq"}, {}, {"kind": "faq"}])
-        table: dict = {}
-        decoded = [decode_event(line, interned=table) for line in lines]
-        assert decoded == [decode_event(line) for line in lines]
-        assert decoded[0].slate.items[0] is decoded[1].slate.items[0]
-        assert decoded[1].slate.items[1] is decoded[2].slate.items[1]
+        for got in both_reads(tmp_path / "events.jsonl", lines):
+            assert got == LogColumns.from_events([decode_event(line) for line in lines])
+            assert got.slates[0][0] is got.slates[1][0]
+            assert got.slates[1][1] is got.slates[2][1]
 
-    def test_non_string_values_keep_their_json_type(self):
+    def test_non_string_values_keep_their_json_type(self, tmp_path):
         # 1, 1.0 and true compare equal in Python; each must come back as written
         lines = [edited_line(set_item_field("features", {"kind": v})) for v in (1, True, 1.0)]
         lines += [edited_line(set_item_field("title", v)) for v in (1, True, 1.0)]
-        table: dict = {}
-        assert [encode_event(decode_event(line, interned=table)) for line in lines] == lines
+        written = [
+            json.dumps(json.loads(line)["slate"]["items"], sort_keys=True, separators=(",", ":"))
+            for line in lines
+        ]
+        for got in both_reads(tmp_path / "events.jsonl", lines):
+            assert [items_json(items) for items in got.slates] == written
 
     @pytest.mark.parametrize(
         "edit",
@@ -779,9 +874,8 @@ class TestDecodeInterning:
     )
     def test_malformed_shapes_raise_validation_error(self, edit, tmp_path):
         line = edited_line(edit)
-        for table in (None, {}):
-            with pytest.raises(ValidationError):
-                decode_event(line, interned=table)
+        with pytest.raises(ValidationError):
+            decode_event(line)
         # the column reader goes through the same validator
         path = tmp_path / "events.jsonl"
         path.write_text(item_lines([{}])[0] + "\n" + line + "\n")

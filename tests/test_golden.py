@@ -5,14 +5,13 @@ cannot see a change that moves the RNG stream or the arithmetic. These
 digests were recorded once and must not move when the code is refactored;
 a change that moves them on purpose has to say why and pin new values.
 
-Every run's event log is written through ``EventLog`` in one scope, so it
-has a column sidecar, and goes through ``check_log``: an interned read of
-the whole log must equal a fresh decode of each line and the events the run
-served, the log's columns read from the sidecar must equal those parsed from
-the JSONL and those of the served events, each line must be the reference v2
-encoding of its event, and the event's v1 line must decode to the same event
-and re-encode to the v2 line. The sidecars the CLI writes are pinned with
-the other ``simulate`` outputs.
+Every run's event log is written through ``EventLog`` and goes through
+``check_log``: each line must decode to the event the run served and be the
+reference v2 encoding of it, the event's v1 line must decode to the same
+event and re-encode to the v2 line, and the log's first read must leave a
+column sidecar whose columns equal those parsed from the JSONL and those of
+the served events. The sidecars that first read writes beside the CLI's logs
+are pinned with the other ``simulate`` outputs.
 
 The offline stages' ``--out`` JSON (``evaluate`` and ``report``) is pinned
 too, over the uniform log of the learned-feature pipeline and over the
@@ -170,16 +169,18 @@ def world_spec() -> WorldSpec:
 
 def check_log(path, served) -> None:
     """The log at ``path`` holds the ``served`` events losslessly, in v2, and
-    their v1 lines read back as the same events."""
+    their v1 lines read back as the same events. Its first read leaves a
+    column sidecar that reads back as the columns of the events."""
     text = path.read_text(encoding="utf-8")
     lines = text.splitlines()
-    replayed = EventLog(path).read_all()
-    assert replayed == [decode_event(line) for line in lines] == served
+    decoded = [decode_event(line) for line in lines]
+    assert decoded == served
+    columns = read_columns(path)
     from_sidecar = core._sidecar_columns(os.fspath(path))
     assert from_sidecar is not None
-    assert read_columns(path) == from_sidecar
-    assert from_sidecar == core._parse_columns(path) == LogColumns.from_events(served)
-    assert "".join(encode_event(e) + "\n" for e in replayed) == text
+    assert columns == from_sidecar == LogColumns.from_events(served)
+    assert from_sidecar == core._parse_columns(path)[0]
+    assert "".join(encode_event(e) + "\n" for e in decoded) == text
     assert lines == [encode_v2(e) for e in served]
     for event, line in zip(served, lines):
         from_v1 = decode_event(encode_v1(event))

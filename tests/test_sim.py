@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import make_event
+from conftest import decode_log, make_event
 from slatebandit.core import (
     NULL_ACTION_ID,
     Action,
@@ -25,7 +25,6 @@ from slatebandit.core import (
     decode_event,
     encode_event,
     null_item,
-    sidecar_path,
 )
 from slatebandit.linear import BanditHead, ts_sample
 from slatebandit.mab import LambdaConfig
@@ -488,7 +487,7 @@ class TestRunLoop:
         schedule = Schedule(horizon=50, aggregation_seconds=1800)
         log = EventLog(tmp_path / "events.jsonl")
         result = run(world, UniformRandomPolicy(), schedule, policy_seed=1, log=log)
-        replayed = log.read_all()
+        replayed = decode_log(log.path)
         assert [encode_event(e) for e in replayed] == [encode_event(e) for e in result.events]
         with open(tmp_path / "events.jsonl", encoding="utf-8") as fh:
             assert encode_event(decode_event(fh.readline())) == encode_event(result.events[0])
@@ -506,11 +505,11 @@ class TestRunLoop:
         monkeypatch.setattr(core, "open", counting_open, raising=False)
         log = EventLog(tmp_path / "events.jsonl")
         run(self.learnable_world(), UniformRandomPolicy(), Schedule(horizon=50), log=log)
-        # the log once; the close also writes the column sidecar's temp file
-        assert [fh.name for fh in opened if fh.name == log.path] == [log.path]
+        assert [fh.name for fh in opened] == [log.path]
         assert all(fh.closed for fh in opened)
-        assert len(log.read_all()) == 50
-        assert os.path.exists(sidecar_path(log.path))
+        # serving writes the log only; its first read writes the column sidecar
+        assert os.listdir(tmp_path) == ["events.jsonl"]
+        assert len(decode_log(log.path)) == 50
 
     def test_a_run_that_raises_leaves_no_sidecar_and_no_temp_file(self, tmp_path):
         class Failing(UniformRandomPolicy):
@@ -526,7 +525,7 @@ class TestRunLoop:
         with pytest.raises(RuntimeError, match="serving failed"):
             run(self.learnable_world(), Failing(), Schedule(horizon=50), log=log)
         assert os.listdir(tmp_path) == ["events.jsonl"]
-        assert len(log.read_all()) == 30
+        assert len(decode_log(log.path)) == 30
 
     def test_expansion_promotes_from_foreign_stats_during_the_run(self):
         from slatebandit.mab import ArmStats
